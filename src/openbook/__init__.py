@@ -28,6 +28,7 @@ from .rules import (
     parse_san,
     perft,
     position_key,
+    resolve_san,
 )
 from .stats import BootstrapResult, FitResult, PairedSample, bootstrap_ci, exp_fit, pearson, summarize
 from .suite import SuiteEntry, parse_epd_suite

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from . import rules
-from .pgn import GameRecord, MalformedGame
+from .pgn import GameRecord, MalformedGame, start_position
 
 FORMAT_HEADER = "openbook-diff v1"
 
@@ -100,13 +100,14 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
     """Accumulate move statistics over the first ``max_depth`` plies of each game.
 
     Games with unknown results carry no score information and are skipped.
+    Each game is replayed from its FEN tag's position, if it has one.
     Unreplayable games are reported through ``on_error`` and skipped whole.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     counts: dict = {}
     total_games = 0
-    for game_index, game in enumerate(games, 1):
+    for game in games:
         if isinstance(game, MalformedGame):
             if on_error:
                 on_error(game)
@@ -116,12 +117,14 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
             continue
         touched = []
         try:
-            for pos, move, _ in rules.replay_san(rules.initial_position(),
-                                                 game.moves[:max_depth]):
-                touched.append((rules.position_key(pos), rules.emit_san(pos, move)))
-        except rules.IllegalMoveError as exc:
+            pos = start_position(game.tags)
+            for token in game.moves[:max_depth]:
+                move, san = rules.resolve_san(pos, token)
+                touched.append((rules.position_key(pos), san))
+                pos = rules._apply(pos, move)
+        except (rules.FenError, rules.IllegalMoveError) as exc:
             if on_error:
-                on_error(MalformedGame(game_index, str(exc),
+                on_error(MalformedGame(game.game_index, str(exc),
                                        move_index=len(touched), tags=game.tags))
             continue
         for key, san in touched:

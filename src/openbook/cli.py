@@ -81,7 +81,8 @@ def cmd_build(args) -> int:
                 games.append(item)
         partial = book_mod.build_book(filter_games(games, game_filter),
                                       max_depth=args.depth,
-                                      source=args.source or os.path.basename(path))
+                                      source=args.source or os.path.basename(path),
+                                      on_error=reports.append)
         built = partial if built is None else book_mod.merge_books(built, partial)
     if built is None:
         raise DataError("no PGN inputs")

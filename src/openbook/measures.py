@@ -96,7 +96,8 @@ def normalize_counts(a: RankedList, min_games: int = 10) -> MoveDistribution:
 def jsd_similarity(p: MoveDistribution, q: MoveDistribution) -> float:
     """1 − sqrt(JSD) with JSD in bits; 1 means identical distributions."""
     divergence = 0.0
-    for san in p.keys() | q.keys():
+    # a fixed summation order, so the last bits do not follow the hash seed
+    for san in sorted(p.keys() | q.keys()):
         pi = p.get(san, 0.0)
         qi = q.get(san, 0.0)
         mid = pi + qi

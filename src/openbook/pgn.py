@@ -28,6 +28,7 @@ class GameRecord:
     tags: dict
     moves: Tuple[str, ...]
     result: str  # one of RESULTS
+    game_index: int = 0  # 1-based position in its PGN source; 0 if built by hand
 
     def rating(self, tag: str) -> Optional[int]:
         try:
@@ -160,7 +161,7 @@ def parse_pgn_stream(source) -> Iterator[Union[GameRecord, MalformedGame]]:
         record = None
         if tags or seen_movetext:
             game_index += 1
-            record = _finish_game(tags, " ".join(movetext_parts), game_index)
+            record = _finish_game(tags, "\n".join(movetext_parts), game_index)
         tags = {}
         movetext_parts = []
         seen_movetext = False
@@ -203,9 +204,8 @@ def _finish_game(tags: dict, movetext: str, game_index: int) -> Union[GameRecord
     result = marker or (tag_result if tag_result in RESULTS else "*")
 
     mainline = []
-    start_fen = tags.get("FEN")
     try:
-        pos = rules.parse_fen(start_fen) if start_fen else rules.initial_position()
+        pos = start_position(tags)
     except rules.FenError as exc:
         return MalformedGame(game_index, f"bad FEN tag: {exc}", tags=tags)
     for index, token in enumerate(tokens):
@@ -218,7 +218,13 @@ def _finish_game(tags: dict, movetext: str, game_index: int) -> Union[GameRecord
                                  fen=rules.emit_fen(pos), tags=tags)
         mainline.append(token)
         pos = rules._apply(pos, move)
-    return GameRecord(tags, tuple(mainline), result)
+    return GameRecord(tags, tuple(mainline), result, game_index)
+
+
+def start_position(tags: dict) -> rules.Position:
+    """The position a game starts from: its FEN tag's, else the initial one."""
+    fen = tags.get("FEN")
+    return rules.parse_fen(fen) if fen else rules.initial_position()
 
 
 def filter_games(games: Iterable[GameRecord], game_filter: GameFilter) -> Iterator[GameRecord]:

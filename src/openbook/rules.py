@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional, Tuple
 
 WHITE = "w"
 BLACK = "b"
@@ -131,11 +131,10 @@ def _attacked(board, sq: int, by_white: bool) -> bool:
 
 
 def _find_king(board, color: str) -> int:
-    king = "K" if color == WHITE else "k"
-    for s in SQUARES:
-        if board[s] == king:
-            return s
-    raise ValueError(f"no {color} king on board")
+    try:
+        return board.index("K" if color == WHITE else "k")
+    except ValueError:
+        raise ValueError(f"no {color} king on board") from None
 
 
 def _pinned_squares(board, king_sq: int, white: bool) -> set:
@@ -232,35 +231,44 @@ def _pseudo_moves(p: Position):
                             add(Move(s, t, capture=True))
                         break
                     t += d
-    # castling: rights imply king/rook on home squares (parse_fen enforces),
-    # but re-check placement so hand-built positions stay safe
-    if white:
-        if ("K" in p.castling and board[E1] == "K" and board[H1] == "R"
-                and board[F1] is None and board[G1] is None
-                and not _attacked(board, E1, False)
-                and not _attacked(board, F1, False)
-                and not _attacked(board, G1, False)):
-            add(Move(E1, G1, castle="K"))
-        if ("Q" in p.castling and board[E1] == "K" and board[A1] == "R"
-                and board[B1] is None and board[C1] is None and board[D1] is None
-                and not _attacked(board, E1, False)
-                and not _attacked(board, D1, False)
-                and not _attacked(board, C1, False)):
-            add(Move(E1, C1, castle="Q"))
-    else:
-        if ("k" in p.castling and board[E8] == "k" and board[H8] == "r"
-                and board[F8] is None and board[G8] is None
-                and not _attacked(board, E8, True)
-                and not _attacked(board, F8, True)
-                and not _attacked(board, G8, True)):
-            add(Move(E8, G8, castle="K"))
-        if ("q" in p.castling and board[E8] == "k" and board[A8] == "r"
-                and board[B8] is None and board[C8] is None and board[D8] is None
-                and not _attacked(board, E8, True)
-                and not _attacked(board, D8, True)
-                and not _attacked(board, C8, True)):
-            add(Move(E8, C8, castle="Q"))
     return moves
+
+
+# per side: (right, king target, rook square, squares that must be empty,
+# squares the king passes that must not be attacked)
+_CASTLING = {
+    WHITE: (("K", G1, H1, (F1, G1), (E1, F1, G1)),
+            ("Q", C1, A1, (B1, C1, D1), (E1, D1, C1))),
+    BLACK: (("k", G8, H8, (F8, G8), (E8, F8, G8)),
+            ("q", C8, A8, (B8, C8, D8), (E8, D8, C8))),
+}
+
+
+def _castles(p: Position) -> list:
+    """Legal castling moves; placement is re-checked for hand-built positions."""
+    board = p.board
+    white = p.turn == WHITE
+    king, rook = ("K", "R") if white else ("k", "r")
+    home = E1 if white else E8
+    return [Move(home, to_sq, castle=right.upper())
+            for right, to_sq, rook_sq, empty, path in _CASTLING[p.turn]
+            if right in p.castling and board[home] == king and board[rook_sq] == rook
+            and all(board[s] is None for s in empty)
+            and not any(_attacked(board, s, not white) for s in path)]
+
+
+def _leaves_king_safe(board: list, m: Move, white: bool, king_sq: int) -> bool:
+    """Make ``m`` on the scratch ``board``, test the own king, and unmake it."""
+    f = m.from_sq
+    cap_sq = m.to_sq + (-16 if white else 16) if m.en_passant else m.to_sq
+    moved, captured = board[f], board[cap_sq]
+    board[cap_sq] = board[f] = None
+    board[m.to_sq] = moved
+    ok = not _attacked(board, m.to_sq if f == king_sq else king_sq, not white)
+    board[m.to_sq] = None
+    board[f] = moved
+    board[cap_sq] = captured
+    return ok
 
 
 def legal_moves(p: Position) -> list:
@@ -270,31 +278,10 @@ def legal_moves(p: Position) -> list:
     king_sq = _find_king(board, p.turn)
     in_check = _attacked(board, king_sq, not white)
     pinned = _pinned_squares(board, king_sq, white)
-    out = []
-    for m in _pseudo_moves(p):
-        if m.castle:
-            out.append(m)  # generation already verified the king's path
-            continue
-        f = m.from_sq
-        if not in_check and f != king_sq and f not in pinned and not m.en_passant:
-            out.append(m)
-            continue
-        cap_sq = m.to_sq
-        if m.en_passant:
-            cap_sq = m.to_sq + (-16 if white else 16)
-        moved = board[f]
-        captured = board[cap_sq]
-        board[cap_sq] = None
-        board[f] = None
-        board[m.to_sq] = moved
-        checked_sq = m.to_sq if f == king_sq else king_sq
-        ok = not _attacked(board, checked_sq, not white)
-        board[m.to_sq] = None
-        board[f] = moved
-        board[cap_sq] = captured
-        if ok:
-            out.append(m)
-    return out
+    out = [m for m in _pseudo_moves(p)
+           if (not in_check and m.from_sq != king_sq and m.from_sq not in pinned
+               and not m.en_passant) or _leaves_king_safe(board, m, white, king_sq)]
+    return out + _castles(p)
 
 
 def is_check(p: Position) -> bool:
@@ -515,82 +502,101 @@ def _clean_san(text: str) -> str:
     return token
 
 
-def parse_san(p: Position, text: str) -> Move:
-    """Resolve a SAN token to the unique matching legal move."""
+def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
+    """Legal non-castling moves of one piece type (uppercase) onto ``to_sq``.
+
+    Candidates are worked back from the target (pawn moves behind it, knight
+    and king offsets, slider rays cast out from it), and only they are tested
+    for king safety: the from/to-square filtering of python-chess's
+    ``Board.parse_san`` (https://github.com/niklasf/python-chess).
+    """
+    board = p.board
+    white = p.turn == WHITE
+    target = board[to_sq]
+    if target is not None and target.isupper() == white:
+        return []
+    if (promo is not None) != (piece == "P" and to_sq >> 4 == (7 if white else 0)):
+        return []
+    own = piece if white else piece.lower()
+    capture = target is not None
+    moves = []
+    if piece == "P":
+        back = -16 if white else 16
+        if capture or to_sq == p.ep:
+            for s in (to_sq + back - 1, to_sq + back + 1):
+                if not s & 0x88 and board[s] == own:
+                    moves.append(Move(s, to_sq, promo, capture=True, en_passant=not capture))
+        if not capture:
+            s = to_sq + back
+            if not s & 0x88 and board[s] == own:
+                moves.append(Move(s, to_sq, promo))
+            elif (to_sq >> 4 == (3 if white else 4) and board[s] is None
+                  and board[s + back] == own):
+                moves.append(Move(s + back, to_sq))
+    elif piece in ("N", "K"):
+        for d in KNIGHT_OFFSETS if piece == "N" else KING_OFFSETS:
+            s = to_sq + d
+            if not s & 0x88 and board[s] == own:
+                moves.append(Move(s, to_sq, capture=capture))
+    else:
+        for d in ROOK_DIRS if piece == "R" else BISHOP_DIRS if piece == "B" else KING_OFFSETS:
+            s = to_sq + d
+            while not s & 0x88 and board[s] is None:
+                s += d
+            if not s & 0x88 and board[s] == own:
+                moves.append(Move(s, to_sq, capture=capture))
+    scratch = list(board)
+    king_sq = _find_king(scratch, p.turn)
+    return [m for m in moves if _leaves_king_safe(scratch, m, white, king_sq)]
+
+
+def _resolve(p: Position, text: str):
+    """The unique legal move a SAN token names, and the legal moves of its
+    piece type onto its target square (all castling moves for O-O/O-O-O)."""
     token = _clean_san(text)
     if not token:
         raise IllegalMoveError(f"empty SAN token {text!r} in {emit_fen(p)}")
-    moves = legal_moves(p)
-    if token in ("O-O", "0-0"):
-        for m in moves:
-            if m.castle == "K":
-                return m
-        raise IllegalMoveError(f"illegal SAN {text!r} in {emit_fen(p)}")
-    if token in ("O-O-O", "0-0-0"):
-        for m in moves:
-            if m.castle == "Q":
-                return m
-        raise IllegalMoveError(f"illegal SAN {text!r} in {emit_fen(p)}")
-    match = _SAN_BODY.fullmatch(token)
-    if not match:
-        raise IllegalMoveError(f"unparsable SAN {text!r} in {emit_fen(p)}")
-    piece = match.group("piece") or "P"
-    to_sq = parse_square(match.group("to"))
-    from_file = match.group("ff")
-    from_rank = match.group("fr")
-    promo = match.group("promo")
-    candidates = []
-    for m in moves:
-        if m.castle or m.to_sq != to_sq:
-            continue
-        if p.board[m.from_sq].upper() != piece:
-            continue
-        if (m.promotion or None) != (promo or None):
-            continue
-        if from_file and FILES[m.from_sq & 7] != from_file:
-            continue
-        if from_rank and str((m.from_sq >> 4) + 1) != from_rank:
-            continue
-        if piece == "P" and not from_file and m.capture:
-            continue  # pawn captures always carry the source file in SAN
-        candidates.append(m)
+    if token in ("O-O", "0-0", "O-O-O", "0-0-0"):
+        pool = _castles(p)
+        side = "K" if len(token) == 3 else "Q"
+        candidates = [m for m in pool if m.castle == side]
+    else:
+        match = _SAN_BODY.fullmatch(token)
+        if not match:
+            raise IllegalMoveError(f"unparsable SAN {text!r} in {emit_fen(p)}")
+        piece, from_file, from_rank, _, to_name, promo = match.groups()
+        piece = piece or "P"
+        pool = _origins(p, piece, parse_square(to_name), promo)
+        # pawn captures always carry the source file in SAN
+        candidates = [m for m in pool
+                      if (from_file or piece != "P" or not m.capture)
+                      and from_file in (None, FILES[m.from_sq & 7])
+                      and from_rank in (None, str((m.from_sq >> 4) + 1))]
     if not candidates:
         raise IllegalMoveError(f"illegal SAN {text!r} in {emit_fen(p)}")
     if len(candidates) > 1:
         raise AmbiguousSanError(f"ambiguous SAN {text!r} in {emit_fen(p)}")
-    return candidates[0]
+    return candidates[0], pool
 
 
-def emit_san(p: Position, m: Move) -> str:
-    """Minimal-disambiguation SAN for a legal move, with check suffix."""
-    moves = legal_moves(p)
-    if m not in moves:
-        raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
-    if m.castle == "K":
-        body = "O-O"
-    elif m.castle == "Q":
-        body = "O-O-O"
+def _san(p: Position, m: Move, pool: list) -> str:
+    """Canonical SAN of the legal move ``m``; ``pool`` is as _resolve returns it."""
+    if m.castle:
+        body = "O-O" if m.castle == "K" else "O-O-O"
     else:
         piece = p.board[m.from_sq].upper()
         to_name = square_name(m.to_sq)
         if piece == "P":
-            body = ""
-            if m.capture:
-                body = FILES[m.from_sq & 7] + "x"
-            body += to_name
+            body = (FILES[m.from_sq & 7] + "x" if m.capture else "") + to_name
             if m.promotion:
                 body += "=" + m.promotion
         else:
-            rivals = [o for o in moves
-                      if o.to_sq == m.to_sq and o.from_sq != m.from_sq
-                      and not o.castle and p.board[o.from_sq].upper() == piece]
+            rivals = [o.from_sq for o in pool if o.from_sq != m.from_sq]
             disambig = ""
             if rivals:
-                same_file = any((o.from_sq & 7) == (m.from_sq & 7) for o in rivals)
-                same_rank = any((o.from_sq >> 4) == (m.from_sq >> 4) for o in rivals)
-                if not same_file:
+                if all((s & 7) != (m.from_sq & 7) for s in rivals):
                     disambig = FILES[m.from_sq & 7]
-                elif not same_rank:
+                elif all((s >> 4) != (m.from_sq >> 4) for s in rivals):
                     disambig = str((m.from_sq >> 4) + 1)
                 else:
                     disambig = square_name(m.from_sq)
@@ -601,6 +607,27 @@ def emit_san(p: Position, m: Move) -> str:
     return body
 
 
+def resolve_san(p: Position, text: str) -> Tuple[Move, str]:
+    """Resolve a SAN token to its unique legal move and that move's canonical SAN."""
+    m, pool = _resolve(p, text)
+    return m, _san(p, m, pool)
+
+
+def parse_san(p: Position, text: str) -> Move:
+    """Resolve a SAN token to the unique matching legal move."""
+    return _resolve(p, text)[0]
+
+
+def emit_san(p: Position, m: Move) -> str:
+    """Minimal-disambiguation SAN for a legal move, with check suffix."""
+    piece = p.board[m.from_sq]
+    pool = (_castles(p) if m.castle else
+            _origins(p, piece.upper(), m.to_sq, m.promotion) if piece else [])
+    if m not in pool:
+        raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
+    return _san(p, m, pool)
+
+
 def perft(p: Position, depth: int) -> int:
     """Count leaf nodes of the legal move tree to the given depth."""
     if depth <= 0:
@@ -609,11 +636,3 @@ def perft(p: Position, depth: int) -> int:
     if depth == 1:
         return len(moves)
     return sum(perft(_apply(p, m), depth - 1) for m in moves)
-
-
-def replay_san(p: Position, tokens: Iterable[str]):
-    """Yield (position_before, move, san_token) while replaying SAN tokens."""
-    for token in tokens:
-        m = parse_san(p, token)
-        yield p, m, token
-        p = _apply(p, m)

@@ -65,6 +65,13 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_book([], max_depth=0)
 
+    def test_replay_failure_reported_with_source_game_index(self):
+        reports = []
+        bad = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=7)
+        book = build_book([game(["d4"], "1-0"), bad], max_depth=4, on_error=reports.append)
+        assert book.games == 1
+        assert [(r.game_index, r.move_index) for r in reports] == [(7, 1)]
+
 
 class TestQuery:
     def test_rank_order_follows_popularity(self):

@@ -1,11 +1,15 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import openbook
 import refdata
 from openbook.book import ranked_from_counts
 from openbook.measures import (
@@ -138,6 +142,19 @@ class TestJsd:
 
     def test_disjoint_supports(self):
         assert jsd_similarity({"a": 1.0}, {"b": 1.0}) == 0.0
+
+    def test_value_independent_of_hash_seed(self):
+        code = ("from openbook.measures import jsd_similarity\n"
+                "p = {f'm{i}': 1 / 7 for i in range(7)}\n"
+                "q = {f'm{i}': (i + 1) / 28 for i in range(7)}\n"
+                "print(repr(jsd_similarity(p, q)))")
+        src = os.path.dirname(os.path.dirname(openbook.__file__))
+        outputs = {subprocess.run([sys.executable, "-c", code], check=True,
+                                  capture_output=True, text=True,
+                                  env=dict(os.environ, PYTHONHASHSEED=seed,
+                                           PYTHONPATH=src)).stdout
+                   for seed in ("0", "1", "2", "3")}
+        assert len(outputs) == 1
 
     def test_matches_entropy_form_oracle(self):
         rng = random.Random(17)

@@ -116,4 +116,17 @@ def test_games_replay_cleanly(pb_mini_path):
     assert all(isinstance(g, GameRecord) for g in games)
     assert len(games) == 49
     for game in games:
-        list(rules.replay_san(rules.initial_position(), game.moves))
+        pos = rules.initial_position()
+        for token in game.moves:
+            pos = rules._apply(pos, rules.parse_san(pos, token))
+
+
+def test_semicolon_comment_ends_at_line_end():
+    games = parse("1. e4 ; note\ne5 2. Nf3 1-0")
+    assert games[0].moves == ("e4", "e5", "Nf3")
+    assert games[0].result == "1-0"
+
+
+def test_game_index_counts_games_in_the_source():
+    games = parse(SIMPLE + "\n" + '[Result "1-0"]\n\n1. e4 zz9 1-0\n\n' + SIMPLE)
+    assert [g.game_index for g in games] == [1, 2, 3]

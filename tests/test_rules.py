@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -16,7 +17,9 @@ from openbook.rules import (
     parse_san,
     parse_square,
     position_key,
+    resolve_san,
 )
+from test_perft import TRICKY
 
 
 class TestFen:
@@ -234,3 +237,114 @@ class TestPositionKey:
         without = parse_fen(
             "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1")
         assert position_key(with_flag) == position_key(without)
+
+
+_ORACLE_SAN = re.compile(r"([NBRQK])?([a-h])?([1-8])?x?([a-h][1-8])(?:=?([NBRQ]))?")
+
+
+def oracle_outcome(named, text):
+    """Brute-force SAN matching over every legal move: a Move, "illegal" or
+    "ambiguous". ``named`` holds (move, piece, origin, target) per legal move."""
+    token = text.strip().replace("e.p.", "").replace("(ep)", "").rstrip("+#!?")
+    if token in ("O-O", "0-0", "O-O-O", "0-0-0"):
+        side = "K" if len(token) == 3 else "Q"
+        found = [m for m, _, _, _ in named if m.castle == side]
+    else:
+        match = _ORACLE_SAN.fullmatch(token)
+        if not match:
+            return "illegal"
+        piece, from_file, from_rank, to, promo = match.groups()
+        piece = piece or "P"
+        found = [m for m, kind, origin, target in named
+                 if not m.castle and target == to and kind == piece and m.promotion == promo
+                 and from_file in (None, origin[0]) and from_rank in (None, origin[1])
+                 and not (piece == "P" and from_file is None and m.capture)]
+    if not found:
+        return "illegal"
+    return found[0] if len(found) == 1 else "ambiguous"
+
+
+def oracle_san(p, moves, m):
+    """Canonical SAN by brute force over every legal move."""
+    if m.castle:
+        body = "O-O" if m.castle == "K" else "O-O-O"
+    else:
+        origin, target = rules.square_name(m.from_sq), rules.square_name(m.to_sq)
+        piece = p.board[m.from_sq].upper()
+        rivals = [rules.square_name(o.from_sq) for o in moves
+                  if o.to_sq == m.to_sq and o.from_sq != m.from_sq and not o.castle
+                  and p.board[o.from_sq].upper() == piece]
+        if piece == "P":
+            body = (origin[0] + "x" if m.capture else "") + target
+            body += "=" + m.promotion if m.promotion else ""
+        else:
+            if not rivals:
+                disambig = ""
+            elif all(r[0] != origin[0] for r in rivals):
+                disambig = origin[0]
+            elif all(r[1] != origin[1] for r in rivals):
+                disambig = origin[1]
+            else:
+                disambig = origin
+            body = piece + disambig + ("x" if m.capture else "") + target
+    after = rules._apply(p, m)
+    if rules.is_check(after):
+        body += "+" if legal_moves(after) else "#"
+    return body
+
+
+def resolver_outcome(p, text):
+    try:
+        return resolve_san(p, text)[0]
+    except AmbiguousSanError:
+        return "ambiguous"
+    except IllegalMoveError:
+        return "illegal"
+
+
+def spellings(p, m):
+    """SAN spellings of ``m``, canonical or not: every disambiguation, ``x``
+    added or dropped, promotion missing or without ``=``, with and without a
+    check mark. ``m`` need not be legal."""
+    if m.castle:
+        bodies = {"O-O", "0-0"} if m.castle == "K" else {"O-O-O", "0-0-0"}
+    else:
+        origin, target = rules.square_name(m.from_sq), rules.square_name(m.to_sq)
+        letter = p.board[m.from_sq].upper().replace("P", "")
+        promos = ("", "=" + m.promotion, m.promotion) if m.promotion else ("", "=Q")
+        bodies = {letter + disambig + capture + target + promo
+                  for disambig in ("", origin[0], origin[1], origin)
+                  for capture in ("", "x") for promo in promos}
+    return bodies | {body + "+" for body in bodies}
+
+
+# en passant pinned along a rank, queens needing square disambiguation,
+# back-rank mate, promotions with capture next to castling rights
+SAN_POSITIONS = [rules.START_FEN] + [fen for fen, _ in TRICKY] + [
+    "8/8/8/KPp4r/8/8/8/7k w - c6 0 1",
+    "7k/8/8/8/Q1Q5/8/Q7/4K3 w - - 0 1",
+    "6k1/5ppp/8/8/8/8/8/R5K1 w - - 0 1",
+    "r3k2r/1P4P1/8/8/8/8/1p4p1/R3K2R w KQkq - 0 1",
+]
+
+
+@pytest.mark.parametrize("fen", SAN_POSITIONS)
+def test_resolver_matches_brute_force_oracle(fen):
+    rng = random.Random(fen)
+    p = parse_fen(fen)
+    for _ in range(16):
+        moves = legal_moves(p)
+        if not moves:
+            break
+        for m in moves:
+            san = emit_san(p, m)
+            assert san == oracle_san(p, moves, m)
+            assert resolve_san(p, san) == (m, san)
+        # pseudo-legal moves add pinned pieces, pinned en passant and
+        # moves into check, which the resolver must reject as well
+        named = [(m, p.board[m.from_sq].upper(), rules.square_name(m.from_sq),
+                  rules.square_name(m.to_sq)) for m in moves]
+        tokens = {t for m in moves + rules._pseudo_moves(p) for t in spellings(p, m)}
+        for token in tokens | {"O-O", "O-O-O"}:
+            assert resolver_outcome(p, token) == oracle_outcome(named, token), token
+        p = rules._apply(p, rng.choice(moves))

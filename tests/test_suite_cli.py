@@ -84,6 +84,19 @@ class TestCliBuild:
             main(["build", "--out", "x.book"])  # --pgn missing
         assert err.value.code == 1
 
+    def test_fen_tagged_game_recorded_from_its_position(self, tmp_path, capsys):
+        fen = "6k1/5ppp/8/8/8/8/8/R5K1 w - - 0 1"
+        pgn = tmp_path / "fen.pgn"
+        pgn.write_text(f'[FEN "{fen}"]\n[SetUp "1"]\n[Result "1-0"]\n\n1. Ra8# 1-0\n')
+        out = tmp_path / "o.book"
+        assert main(["build", "--pgn", str(pgn), "--out", str(out)]) == 0
+        assert "skipped" not in capsys.readouterr().err
+        from openbook.book import load_book
+        book = load_book(str(out))
+        assert book.games == 1
+        assert list(book.positions) == [rules.position_key(rules.parse_fen(fen))]
+        assert list(book.positions[rules.position_key(rules.parse_fen(fen))]) == ["Ra8#"]
+
 
 class TestCliQuery:
     def test_query_matches_hand_tally(self, built_books, capsys):
