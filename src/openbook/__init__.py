@@ -14,7 +14,7 @@ from .measures import (
     normalize_counts,
     overlap,
 )
-from .pgn import GameFilter, GameRecord, MalformedGame, filter_games, parse_pgn_stream
+from .pgn import GameFilter, GameRecord, MalformedGame, ReplayError, filter_games, parse_pgn_stream
 from .rules import (
     FenError,
     IllegalMoveError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
 from . import rules
-from .pgn import GameRecord, MalformedGame, start_position
+from .pgn import GameRecord, MalformedGame, ReplayError, start_position
 
 FORMAT_HEADER = "openbook-diff v1"
 
@@ -100,8 +100,9 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
     """Accumulate move statistics over the first ``max_depth`` plies of each game.
 
     Games with unknown results carry no score information and are skipped.
-    Each game is replayed from its FEN tag's position, if it has one.
-    Unreplayable games are reported through ``on_error`` and skipped whole.
+    Each game is replayed from its FEN tag's position, if it has one, using
+    the moves its ``line`` resolved. Games whose moves do not all replay,
+    even past ``max_depth``, are reported through ``on_error`` and skipped.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -115,24 +116,22 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
         tally = _RESULT_TALLY.get(game.result)
         if tally is None:
             continue
-        touched = []
         try:
-            pos = start_position(game.tags)
-            for token in game.moves[:max_depth]:
-                move, san = rules.resolve_san(pos, token)
-                touched.append((rules.position_key(pos), san))
-                pos = rules._apply(pos, move)
-        except (rules.FenError, rules.IllegalMoveError) as exc:
+            line = game.line
+        except ReplayError as exc:
             if on_error:
-                on_error(MalformedGame(game.game_index, str(exc),
-                                       move_index=len(touched), tags=game.tags))
+                on_error(exc.report)
             continue
-        for key, san in touched:
-            entry = counts.setdefault(key, {}).setdefault(san, [0, 0, 0, 0])
+        pos = start_position(game.tags)
+        for move, pool in line[:max_depth]:
+            successor = rules._apply(pos, move)
+            san = rules._san(pos, move, pool, successor)
+            entry = counts.setdefault(rules.position_key(pos), {}).setdefault(san, [0, 0, 0, 0])
             entry[0] += 1
             entry[1] += tally[0]
             entry[2] += tally[1]
             entry[3] += tally[2]
+            pos = successor
         total_games += 1
     positions = {
         key: {san: MoveStats(san, *entry) for san, entry in moves.items()}
@@ -164,6 +163,13 @@ def merge_books(a: Book, b: Book) -> Book:
 
 
 def _serialize(book: Book) -> str:
+    """The book file text; BookFormatError if load_book could not read it back."""
+    if "\n" in book.source:
+        raise BookFormatError(f"source {book.source!r} contains a line break")
+    try:
+        book.source.encode("utf-8")
+    except UnicodeEncodeError:
+        raise BookFormatError(f"source {book.source!r} is not encodable as UTF-8") from None
     lines = [FORMAT_HEADER,
              f"meta source={book.source} games={book.games} "
              f"positions={book.position_count} depth={book.depth}"]
@@ -201,7 +207,10 @@ def load_book(source) -> Book:
         raw = source.read()
         if isinstance(raw, str):
             raw = raw.encode("utf-8")
-    text = raw.decode("utf-8")
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise BookFormatError(f"not UTF-8 text: {exc}") from None
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()

@@ -65,6 +65,15 @@ def _parse_position(args) -> rules.Position:
         raise DataError(str(exc))
 
 
+def _parsed_games(path: str, reports: List[MalformedGame]):
+    """The games of one PGN file as they are parsed; reports go to ``reports``."""
+    for item in parse_pgn_stream(path):
+        if isinstance(item, MalformedGame):
+            reports.append(item)
+        else:
+            yield item
+
+
 def cmd_build(args) -> int:
     game_filter = GameFilter(min_rating=args.min_rating,
                              require_result=args.require_result)
@@ -73,13 +82,9 @@ def cmd_build(args) -> int:
     for path in args.pgn:
         if not os.path.exists(path):
             raise DataError(f"cannot read PGN {path}: no such file")
-        games = []
-        for item in parse_pgn_stream(path):
-            if isinstance(item, MalformedGame):
-                reports.append(item)
-            else:
-                games.append(item)
-        partial = book_mod.build_book(filter_games(games, game_filter),
+        # filtering follows parsing, so malformed games that the filter
+        # would drop are still reported
+        partial = book_mod.build_book(filter_games(_parsed_games(path, reports), game_filter),
                                       max_depth=args.depth,
                                       source=args.source or os.path.basename(path),
                                       on_error=reports.append)
@@ -88,7 +93,11 @@ def cmd_build(args) -> int:
         raise DataError("no PGN inputs")
     if args.source:
         built.source = args.source
-    _write_atomic(args.out, book_mod._serialize(built))
+    try:
+        text = book_mod._serialize(built)
+    except book_mod.BookFormatError as exc:
+        raise DataError(f"cannot write book {args.out}: {exc}")
+    _write_atomic(args.out, text)
     for item in reports:
         print(f"skipped game {item.game_index}: {item.reason}", file=sys.stderr)
     print(f"book written to {args.out}")

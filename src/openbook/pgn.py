@@ -19,16 +19,33 @@ NULL_MOVE_TOKENS = ("--", "Z0", "z0", "0000")
 
 _TAG_RE = re.compile(r'\[\s*(\w+)\s*"((?:[^"\\]|\\.)*)"\s*\]')
 _MOVE_NUMBER_RE = re.compile(r"^\d+\.*$")
+_GLUED_NUMBER_RE = re.compile(r"^\d+\.+")
+_MOVETEXT_SPECIAL_RE = re.compile(r"[{}();]")
 
 
 @dataclass
 class GameRecord:
-    """One parsed game: tag pairs, mainline SAN tokens, result."""
+    """One parsed game: tag pairs, mainline SAN tokens, result.
+
+    ``line`` is the game replayed from its start position: per ply, the
+    move and the pool ``rules._resolve`` returned with it (the legal moves
+    of its piece type onto its target square), which is what canonical SAN
+    needs. It is computed on first use and kept; parse_pgn_stream uses it
+    to validate every record it yields.
+    """
 
     tags: dict
     moves: Tuple[str, ...]
     result: str  # one of RESULTS
     game_index: int = 0  # 1-based position in its PGN source; 0 if built by hand
+    _line: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def line(self) -> Tuple[Tuple[rules.Move, list], ...]:
+        """(move, pool) per ply; raises ReplayError if the moves do not replay."""
+        if self._line is None:
+            self._line = _replay(self)
+        return self._line
 
     def rating(self, tag: str) -> Optional[int]:
         try:
@@ -46,6 +63,14 @@ class MalformedGame:
     move_index: Optional[int] = None
     fen: Optional[str] = None
     tags: dict = field(default_factory=dict)
+
+
+class ReplayError(ValueError):
+    """Raised by ``GameRecord.line`` for a game whose moves do not replay."""
+
+    def __init__(self, report: MalformedGame):
+        super().__init__(report.reason)
+        self.report = report
 
 
 @dataclass
@@ -100,46 +125,71 @@ def _lines(source) -> Iterator[str]:
         yield _decode(raw) if isinstance(raw, bytes) else raw
 
 
-def _strip_movetext(text: str) -> str:
-    """Remove comments and variations, keeping only mainline tokens."""
-    out = []
-    depth = 0
-    in_brace = False
+def _strip_movetext(text: str, out: list, in_brace: bool = False, depth: int = 0):
+    """Remove comments and variations, appending the mainline characters
+    of ``text`` to ``out``.
+
+    The scan starts inside a brace comment or ``depth`` variations deep, as
+    given, and returns that state where ``text`` ends. A brace comment runs
+    to the next "}", parentheses nest variations, and a ";" in the mainline
+    comments out the rest of its line; inside a variation ";" and "}" are
+    dropped, and a stray "}" in the mainline is kept. The scan jumps from
+    one of the characters ``{}();`` to the next.
+    """
+    end = len(text)
     i = 0
-    while i < len(text):
-        ch = text[i]
+    while i < end:
         if in_brace:
-            if ch == "}":
-                in_brace = False
-        elif ch == "{":
+            j = text.find("}", i)
+            if j < 0:
+                break
+            in_brace = False
+            i = j + 1
+            continue
+        match = _MOVETEXT_SPECIAL_RE.search(text, i)
+        j = match.start() if match else end
+        if depth == 0:
+            out.append(text[i:j])
+        if match is None:
+            break
+        ch = text[j]
+        i = j + 1
+        if ch == "{":
             in_brace = True
         elif ch == "(":
             depth += 1
         elif ch == ")":
             if depth > 0:
                 depth -= 1
-        elif ch == ";" and depth == 0:
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
         elif depth == 0:
-            out.append(ch)
-        i += 1
-    return "".join(out)
+            if ch == ";":
+                j = text.find("\n", i)
+                i = end if j < 0 else j
+            else:
+                out.append(ch)
+    return in_brace, depth
 
 
 def _movetext_tokens(text: str):
+    """SAN tokens of stripped movetext up to its first null move, and the
+    result marker that ends it (None if there is none)."""
     tokens = []
     result = None
-    for token in _strip_movetext(text).split():
+    null = False
+    for token in text.split():
         if token in RESULTS:
             result = token
             break
-        if _MOVE_NUMBER_RE.fullmatch(token) or token.startswith("$") or token == ".":
+        if token[0].isdigit():
+            if _MOVE_NUMBER_RE.fullmatch(token):
+                continue
+            # glued move numbers like "1.e4"
+            token = _GLUED_NUMBER_RE.sub("", token)
+        elif token[0] == "$" or token == ".":
             continue
-        # glued move numbers like "1.e4"
-        token = re.sub(r"^\d+\.+", "", token)
-        if token:
+        if token in NULL_MOVE_TOKENS:
+            null = True  # moves before the null stay valid evidence
+        elif token and not null:
             tokens.append(token)
     return tokens, result
 
@@ -149,23 +199,25 @@ def parse_pgn_stream(source) -> Iterator[Union[GameRecord, MalformedGame]]:
 
     ``source`` may be a path, a text file object, or an iterable of
     bytes/str lines. Parsing is single pass; memory is bounded per game.
+    Movetext is stripped line by line as it arrives, so a tag line inside a
+    brace comment is read as comment, and a brace inside a ";" comment is not.
     """
     tags: dict = {}
-    movetext_parts: list = []
+    mainline: list = []
     seen_movetext = False
-    in_brace = False
+    in_brace, depth = False, 0
     game_index = 0
 
     def finish():
-        nonlocal tags, movetext_parts, seen_movetext, in_brace, game_index
+        nonlocal tags, mainline, seen_movetext, in_brace, depth, game_index
         record = None
         if tags or seen_movetext:
             game_index += 1
-            record = _finish_game(tags, "\n".join(movetext_parts), game_index)
+            record = _finish_game(tags, "".join(mainline), game_index)
         tags = {}
-        movetext_parts = []
+        mainline = []
         seen_movetext = False
-        in_brace = False
+        in_brace, depth = False, 0
         return record
 
     for line in _lines(source):
@@ -182,13 +234,11 @@ def parse_pgn_stream(source) -> Iterator[Union[GameRecord, MalformedGame]]:
             continue
         if stripped:
             seen_movetext = True
-            movetext_parts.append(stripped)
-            opens = stripped.count("{")
-            closes = stripped.count("}")
-            if in_brace:
-                in_brace = closes <= opens
-            else:
-                in_brace = opens > closes
+            in_brace, depth = _strip_movetext(stripped, mainline, in_brace, depth)
+            # the line break ends a ";" comment and separates tokens, but is
+            # itself comment text inside braces or a variation
+            if not in_brace and depth == 0:
+                mainline.append("\n")
     result = finish()
     if result is not None:
         yield result
@@ -201,24 +251,31 @@ def _finish_game(tags: dict, movetext: str, game_index: int) -> Union[GameRecord
         return MalformedGame(game_index,
                              f"result tag {tag_result!r} contradicts marker {marker!r}",
                              tags=tags)
-    result = marker or (tag_result if tag_result in RESULTS else "*")
-
-    mainline = []
+    record = GameRecord(tags, tuple(tokens),
+                        marker or (tag_result if tag_result in RESULTS else "*"), game_index)
     try:
-        pos = start_position(tags)
+        record.line  # replays the game once and keeps what it resolved
+    except ReplayError as exc:
+        return exc.report
+    return record
+
+
+def _replay(game: GameRecord) -> tuple:
+    try:
+        pos = start_position(game.tags)
     except rules.FenError as exc:
-        return MalformedGame(game_index, f"bad FEN tag: {exc}", tags=tags)
-    for index, token in enumerate(tokens):
-        if token in NULL_MOVE_TOKENS:
-            break  # moves before the null stay valid evidence
+        raise ReplayError(MalformedGame(game.game_index, f"bad FEN tag: {exc}",
+                                        tags=game.tags)) from None
+    line = []
+    for index, token in enumerate(game.moves):
         try:
-            move = rules.parse_san(pos, token)
+            move, pool = rules._resolve(pos, token)
         except rules.IllegalMoveError as exc:
-            return MalformedGame(game_index, str(exc), move_index=index,
-                                 fen=rules.emit_fen(pos), tags=tags)
-        mainline.append(token)
+            raise ReplayError(MalformedGame(game.game_index, str(exc), move_index=index,
+                                            fen=rules.emit_fen(pos), tags=game.tags)) from None
+        line.append((move, pool))
         pos = rules._apply(pos, move)
-    return GameRecord(tags, tuple(mainline), result, game_index)
+    return tuple(line)
 
 
 def start_position(tags: dict) -> rules.Position:

@@ -333,38 +333,19 @@ def apply_move(p: Position, m: Move) -> Position:
     return _apply(p, m)
 
 
-def _ep_capture_legal(p: Position) -> bool:
-    """True when the recorded en-passant target can actually be captured."""
-    if p.ep is None:
-        return False
-    board = list(p.board)
-    white = p.turn == WHITE
-    pawn = "P" if white else "p"
-    cap_sq = p.ep + (-16 if white else 16)
-    king_sq = _find_king(board, p.turn)
-    for d in ((-17, -15) if white else (15, 17)):
-        f = p.ep + d
-        if f & 0x88 or board[f] != pawn:
-            continue
-        board[f] = None
-        board[cap_sq] = None
-        board[p.ep] = pawn
-        ok = not _attacked(board, king_sq, not white)
-        board[p.ep] = None
-        board[cap_sq] = pawn.swapcase()
-        board[f] = pawn
-        if ok:
-            return True
-    return False
-
-
 def _canonical_ep(p: Position) -> Optional[int]:
-    return p.ep if _ep_capture_legal(p) else None
+    """The en-passant target if some legal capture lands on it, else None.
+
+    The ep square is empty (parse_fen rejects an occupied one) and lies on
+    the third or sixth rank, so the only pawn moves ``_origins`` finds onto
+    it are en-passant captures.
+    """
+    return p.ep if p.ep is not None and _origins(p, "P", p.ep, None) else None
 
 
 def normalize(p: Position) -> Position:
     """Drop a meaningless en-passant target (no legal capture onto it)."""
-    if p.ep is not None and not _ep_capture_legal(p):
+    if _canonical_ep(p) != p.ep:
         return Position(p.board, p.turn, p.castling, None, p.halfmove, p.fullmove)
     return p
 
@@ -415,8 +396,7 @@ def parse_fen(text: str) -> Position:
     if castling == "-":
         rights = ""
     else:
-        if not re.fullmatch(r"K?Q?k?q?", "".join(sorted(set(castling), key="KQkq".index))
-                            if set(castling) <= set("KQkq") else "x"):
+        if not set(castling) <= set("KQkq") or len(set(castling)) != len(castling):
             raise FenError(f"bad castling field: {castling!r}")
         rights = "".join(flag for flag in "KQkq" if flag in castling)
     # drop rights inconsistent with king/rook placement
@@ -438,6 +418,8 @@ def parse_fen(text: str) -> Position:
         expected_rank = 5 if turn == WHITE else 2
         if ep >> 4 != expected_rank:
             raise FenError(f"en-passant square {ep_field!r} on wrong rank for side {turn}")
+        if board[ep] is not None:
+            raise FenError(f"en-passant square {ep_field!r} is occupied")
 
     try:
         halfmove = int(half_field)
@@ -455,38 +437,27 @@ def parse_fen(text: str) -> Position:
     return p
 
 
-def emit_fen(p: Position) -> str:
-    """Canonical 6-field FEN; en passant emitted only when capturable."""
-    rows = []
-    for rank in range(7, -1, -1):
-        row = ""
-        empty = 0
-        for file in range(8):
-            pc = p.board[16 * rank + file]
-            if pc is None:
-                empty += 1
-            else:
-                if empty:
-                    row += str(empty)
-                    empty = 0
-                row += pc
-        if empty:
-            row += str(empty)
-        rows.append(row)
-    ep = _canonical_ep(p)
-    return " ".join([
-        "/".join(rows),
-        p.turn,
-        p.castling or "-",
-        square_name(ep) if ep is not None else "-",
-        str(p.halfmove),
-        str(p.fullmove),
-    ])
+# board squares in FEN placement order: rank 8 down to rank 1, a-file first
+_FEN_SQUARES = tuple(s + f for s in range(112, -1, -16) for f in range(8))
+# runs of empty squares, longest first, so each run collapses to one digit
+_EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(8, 1, -1))
 
 
 def position_key(p: Position) -> str:
     """Canonical transposition key: 4-field FEN with normalized en passant."""
-    return " ".join(emit_fen(p).split()[:4])
+    board = p.board
+    cells = "".join([board[s] or "1" for s in _FEN_SQUARES])
+    placement = "/".join([cells[i:i + 8] for i in range(0, 64, 8)])
+    for run, digit in _EMPTY_RUNS:
+        placement = placement.replace(run, digit)
+    ep = _canonical_ep(p)
+    return (f"{placement} {p.turn} {p.castling or '-'} "
+            f"{square_name(ep) if ep is not None else '-'}")
+
+
+def emit_fen(p: Position) -> str:
+    """Canonical 6-field FEN; en passant emitted only when capturable."""
+    return f"{position_key(p)} {p.halfmove} {p.fullmove}"
 
 
 _SAN_BODY = re.compile(
@@ -579,8 +550,9 @@ def _resolve(p: Position, text: str):
     return candidates[0], pool
 
 
-def _san(p: Position, m: Move, pool: list) -> str:
-    """Canonical SAN of the legal move ``m``; ``pool`` is as _resolve returns it."""
+def _san(p: Position, m: Move, pool: list, successor: Position) -> str:
+    """Canonical SAN of the legal move ``m``; ``pool`` is as _resolve returns
+    it and ``successor`` is ``_apply(p, m)``, which gives the check suffix."""
     if m.castle:
         body = "O-O" if m.castle == "K" else "O-O-O"
     else:
@@ -601,7 +573,6 @@ def _san(p: Position, m: Move, pool: list) -> str:
                 else:
                     disambig = square_name(m.from_sq)
             body = piece + disambig + ("x" if m.capture else "") + to_name
-    successor = _apply(p, m)
     if is_check(successor):
         body += "#" if not legal_moves(successor) else "+"
     return body
@@ -610,7 +581,7 @@ def _san(p: Position, m: Move, pool: list) -> str:
 def resolve_san(p: Position, text: str) -> Tuple[Move, str]:
     """Resolve a SAN token to its unique legal move and that move's canonical SAN."""
     m, pool = _resolve(p, text)
-    return m, _san(p, m, pool)
+    return m, _san(p, m, pool, _apply(p, m))
 
 
 def parse_san(p: Position, text: str) -> Move:
@@ -625,7 +596,7 @@ def emit_san(p: Position, m: Move) -> str:
             _origins(p, piece.upper(), m.to_sq, m.promotion) if piece else [])
     if m not in pool:
         raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
-    return _san(p, m, pool)
+    return _san(p, m, pool, _apply(p, m))
 
 
 def perft(p: Position, depth: int) -> int:

@@ -3,21 +3,23 @@
 Bootstrap resampling uses numpy's PCG64 generator seeded explicitly, so a
 (seed, resamples) pair maps to one exact result. Standard deviations are
 sample (n − 1) throughout; both conventions are recorded in report
-metadata by the cli module.
+metadata by the cli module. numpy is imported by the functions that use
+it, so importing this module (and the CLI, for ``build``) does not load it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
 
 from .measures import ComparisonRow
 
 RNG_ALGORITHM = "numpy-PCG64"
 STD_CONVENTION = "sample(n-1)"
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StatsError(ValueError):
@@ -70,6 +72,8 @@ class FitResult:
 
 def pearson_xy(x: np.ndarray, y: np.ndarray) -> float:
     """Product-moment correlation of two vectors; StatsError if constant."""
+    import numpy as np
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     xm = x - x.mean()
@@ -82,6 +86,8 @@ def pearson_xy(x: np.ndarray, y: np.ndarray) -> float:
 
 def pearson(sample: PairedSample) -> float:
     """Pearson correlation of a paired sample (n >= 2, non-constant)."""
+    import numpy as np
+
     if len(sample) < 2:
         raise StatsError(f"need at least 2 pairs, got {len(sample)}")
     return pearson_xy(np.array(sample.x), np.array(sample.y))
@@ -96,6 +102,8 @@ def bootstrap_ci(sample: PairedSample,
     constant are skipped. More than 50% degenerate resamples is an error.
     Deterministic for a given seed.
     """
+    import numpy as np
+
     n = len(sample)
     if n < 3:
         raise StatsError(f"need at least 3 pairs to bootstrap, got {n}")
@@ -131,6 +139,8 @@ def bootstrap_ci(sample: PairedSample,
 
 def exp_fit(counts: Sequence[float]) -> FitResult:
     """OLS of ln(count) against rank 1..n, with r² of the fitted pairs."""
+    import numpy as np
+
     if len(counts) < 3:
         raise StatsError(f"need at least 3 counts, got {len(counts)}")
     if any(c < 1 for c in counts):
@@ -144,6 +154,8 @@ def exp_fit(counts: Sequence[float]) -> FitResult:
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:
     """Arithmetic mean and sample (n − 1) standard deviation."""
+    import numpy as np
+
     if len(values) < 2:
         raise StatsError(f"need at least 2 values, got {len(values)}")
     arr = np.asarray(values, dtype=float)

@@ -72,6 +72,14 @@ class TestBuild:
         assert book.games == 1
         assert [(r.game_index, r.move_index) for r in reports] == [(7, 1)]
 
+    def test_illegal_token_past_depth_reported_and_not_recorded(self):
+        reports = []
+        bad = GameRecord({}, ("e4", "e5", "Ke7"), "1-0", game_index=3)
+        book = build_book([bad, game(["d4"], "0-1")], max_depth=2, on_error=reports.append)
+        assert book.games == 1
+        assert list(book.positions) == [rules.position_key(rules.initial_position())]
+        assert [(r.game_index, r.move_index) for r in reports] == [(3, 2)]
+
 
 class TestQuery:
     def test_rank_order_follows_popularity(self):
@@ -134,6 +142,21 @@ class TestPersistence:
         digest = hashlib.sha256(body.encode()).hexdigest()
         with pytest.raises(BookFormatError, match="line 4"):
             load_book(io.StringIO(body + f"sha256 {digest}\n"))
+
+
+    def test_non_utf8_file_rejected(self):
+        buffer = io.BytesIO()
+        save_book(self.build_sample(), buffer)
+        with pytest.raises(BookFormatError, match="UTF-8"):
+            load_book(io.BytesIO(buffer.getvalue().replace(b"sample", b"s\xe4mple")))
+
+    @pytest.mark.parametrize("source", ["a\nb", "a\udcffb"])
+    def test_unreadable_source_refused_before_writing(self, source):
+        book = build_book([game(["e4"], "1-0")], max_depth=2, source=source)
+        buffer = io.StringIO()
+        with pytest.raises(BookFormatError, match="source"):
+            save_book(book, buffer)
+        assert buffer.getvalue() == ""
 
 
 class TestMerge:

@@ -1,9 +1,16 @@
 import io
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from openbook.pgn import (
     GameFilter,
     GameRecord,
     MalformedGame,
+    ReplayError,
+    _finish_game,
+    _strip_movetext,
     filter_games,
     parse_pgn_stream,
 )
@@ -130,3 +137,77 @@ def test_semicolon_comment_ends_at_line_end():
 def test_game_index_counts_games_in_the_source():
     games = parse(SIMPLE + "\n" + '[Result "1-0"]\n\n1. e4 zz9 1-0\n\n' + SIMPLE)
     assert [g.game_index for g in games] == [1, 2, 3]
+
+
+def test_brace_inside_semicolon_comment_keeps_next_game():
+    text = ('[Event "a"]\n[Result "1-0"]\n\n1. e4 ; a { brace\ne5 1-0\n\n'
+            '[Event "b"]\n[Result "0-1"]\n\n1. d4 d5 0-1\n')
+    games = parse(text)
+    assert [(g.tags["Event"], g.moves, g.result) for g in games] == [
+        ("a", ("e4", "e5"), "1-0"), ("b", ("d4", "d5"), "0-1")]
+
+
+def test_line_replays_moves_once_and_is_kept():
+    game = parse(SIMPLE)[0]
+    line = game.line
+    assert game.line is line
+    assert [move.uci() for move, _ in line] == ["e2e4", "e7e5", "g1f3"]
+
+
+def test_hand_built_record_replays_on_first_use():
+    game = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=5)
+    with pytest.raises(ReplayError) as err:
+        game.line
+    assert (err.value.report.game_index, err.value.report.move_index) == (5, 1)
+    assert "4P3" in err.value.report.fen
+
+
+def _reference_strip(text):
+    """Character-by-character comment and variation stripper."""
+    out = []
+    depth = 0
+    in_brace = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if in_brace:
+            if ch == "}":
+                in_brace = False
+        elif ch == "{":
+            in_brace = True
+        elif ch == "(":
+            depth += 1
+        elif ch == ")":
+            if depth > 0:
+                depth -= 1
+        elif ch == ";" and depth == 0:
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        elif depth == 0:
+            out.append(ch)
+        i += 1
+    return "".join(out)
+
+
+MOVETEXT_PIECES = ["{", "}", "(", ")", ";", "\n", " ", "e4", "e5", "Nf3", "1.", "$1"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(MOVETEXT_PIECES), max_size=40).map("".join))
+def test_jump_scan_strip_matches_char_by_char(text):
+    out = []
+    _strip_movetext(text, out)
+    assert "".join(out) == _reference_strip(text)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(MOVETEXT_PIECES[:-1] + ["Nc6", "2.", "1-0"]),
+                         max_size=10).map("".join), min_size=1, max_size=6))
+def test_line_by_line_stripping_matches_whole_movetext(lines):
+    """The parser strips each movetext line as it arrives; the game it
+    yields is the one stripping the joined movetext at once gives."""
+    text = "\n".join(lines)
+    kept = [line.strip() for line in text.split("\n") if line.strip()]
+    expected = [_finish_game({}, _reference_strip("\n".join(kept)), 1)] if kept else []
+    assert parse(text + "\n") == expected

@@ -69,6 +69,14 @@ class TestFen:
         p = parse_fen("rnbqkbnr/ppp1pppp/8/8/3pP3/8/PPPP1PPP/RNBQK1NR b KQkq e3 0 1")
         assert emit_fen(p).split()[3] == "e3"
 
+    def test_duplicate_castling_flag_rejected(self):
+        with pytest.raises(FenError, match="castling"):
+            parse_fen("r3k2r/8/8/8/8/8/8/R3K2R w KKq - 0 1")
+
+    def test_occupied_ep_square_rejected(self):
+        with pytest.raises(FenError, match="occupied"):
+            parse_fen("rnbqkbnr/ppp1pppp/8/8/3pP3/4N3/PPPP1PPP/RNBQK2R b KQkq e3 0 1")
+
     def test_round_trip_on_random_positions(self):
         rng = random.Random(3)
         p = rules.initial_position()
@@ -348,3 +356,59 @@ def test_resolver_matches_brute_force_oracle(fen):
         for token in tokens | {"O-O", "O-O-O"}:
             assert resolver_outcome(p, token) == oracle_outcome(named, token), token
         p = rules._apply(p, rng.choice(moves))
+
+
+def brute_force_key(p):
+    """4-field FEN key rendered square by square; en passant is shown when
+    some legal move captures en passant."""
+    rows = []
+    for rank in range(7, -1, -1):
+        row, empty = "", 0
+        for file in range(8):
+            piece = p.board[16 * rank + file]
+            if piece is None:
+                empty += 1
+                continue
+            row += (str(empty) if empty else "") + piece
+            empty = 0
+        rows.append(row + (str(empty) if empty else ""))
+    ep = "-"
+    if any(m.en_passant for m in legal_moves(p)):
+        ep = rules.square_name(p.ep)
+    return " ".join(["/".join(rows), p.turn, p.castling or "-", ep])
+
+
+# (position, its key's en-passant field): a legal en passant, en passant
+# pinned along a rank and along a diagonal, and en passant that captures
+# the pawn giving check
+KEY_POSITIONS = [
+    (rules.START_FEN, "-"),
+    ("rnbqkbnr/ppp1pppp/8/8/3pP3/8/PPPP1PPP/RNBQK1NR b KQkq e3 0 1", "e3"),
+    ("8/8/8/KPp4r/8/8/8/7k w - c6 0 1", "-"),
+    ("8/8/1b6/2pP4/8/4K3/8/7k w - c6 0 1", "-"),
+    ("8/8/8/2pP4/1K6/8/8/7k w - c6 0 1", "c6"),
+]
+
+
+def test_position_key_matches_brute_force():
+    rng = random.Random(11)
+    ep_shown = []
+    for fen, ep in KEY_POSITIONS:
+        assert position_key(parse_fen(fen)).split()[3] == ep
+        for _ in range(30):
+            p = parse_fen(fen)
+            for _ in range(60):
+                key = position_key(p)
+                assert key == brute_force_key(p)
+                assert emit_fen(p) == f"{key} {p.halfmove} {p.fullmove}"
+                if p.ep is not None:
+                    ep_shown.append(key.split()[3] != "-")
+                moves = legal_moves(p)
+                if not moves:
+                    break
+                # favour double pushes and en passant so both outcomes occur often
+                jumps = [m for m in moves if m.en_passant or abs(m.to_sq - m.from_sq) == 32
+                         and p.board[m.from_sq] in ("P", "p")]
+                p = rules._apply(p, rng.choice(jumps if jumps and rng.random() < 0.5
+                                               else moves))
+    assert ep_shown.count(True) > 100 and ep_shown.count(False) > 100

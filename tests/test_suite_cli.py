@@ -1,9 +1,13 @@
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
 from openbook import rules
 from openbook.cli import main
+from openbook.pgn import GameRecord, MalformedGame, parse_pgn_stream
 from openbook.report import parse_comparison_tsv
 from openbook.suite import SuiteError, parse_epd_suite
 
@@ -98,6 +102,47 @@ class TestCliBuild:
         assert list(book.positions[rules.position_key(rules.parse_fen(fen))]) == ["Ra8#"]
 
 
+    def test_every_parsed_ply_resolved_once(self, tmp_path, monkeypatch, capsys):
+        rng = random.Random(3)
+        chunks = []
+        for index in range(12):
+            pos, tokens = rules.initial_position(), []
+            for _ in range(rng.randrange(4, 24)):
+                moves = rules.legal_moves(pos)
+                if not moves:
+                    break
+                move = rng.choice(moves)
+                tokens.append(rules.emit_san(pos, move))
+                pos = rules._apply(pos, move)
+            if index == 4:
+                tokens.insert(3, "Ke5")  # illegal: reported at ply 3
+            result = "*" if index == 7 else "1-0"
+            elo = 1500 if index == 9 else 2500
+            chunks.append(f'[Result "{result}"]\n[WhiteElo "{elo}"]\n[BlackElo "2500"]\n\n'
+                          + " ".join(tokens) + " { note ; } " + result + "\n")
+        pgn = tmp_path / "games.pgn"
+        pgn.write_text("\n".join(chunks))
+        parsed = list(parse_pgn_stream(str(pgn)))
+        expected = sum(len(g.moves) if isinstance(g, GameRecord) else g.move_index + 1
+                       for g in parsed)
+        assert sum(isinstance(g, MalformedGame) for g in parsed) == 1
+
+        calls = []
+        resolve = rules._resolve
+        monkeypatch.setattr(rules, "_resolve", lambda p, text: calls.append(text) or resolve(p, text))
+        assert main(["build", "--pgn", str(pgn), "--out", str(tmp_path / "o.book"),
+                     "--depth", "6", "--min-rating", "2000"]) == 0
+        assert len(calls) == expected
+        assert "skipped game 5:" in capsys.readouterr().err
+
+    def test_line_break_in_source_refused(self, tmp_path, pb_mini_path, capsys):
+        out = tmp_path / "o.book"
+        assert main(["build", "--pgn", pb_mini_path, "--out", str(out),
+                     "--source", "a\nb"]) == 2
+        assert "line break" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCliQuery:
     def test_query_matches_hand_tally(self, built_books, capsys):
         assert main(["query", "--book", built_books[0],
@@ -120,6 +165,15 @@ class TestCliQuery:
         assert main(["query", "--book", built_books[0],
                      "--epd", 'rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";']) == 0
         assert "e4" in capsys.readouterr().out
+
+
+    def test_non_utf8_book_is_data_error(self, tmp_path, suite3_path, capsys):
+        bad = tmp_path / "bad.book"
+        bad.write_bytes(b"openbook-diff v1\nmeta source=\xff games=0 positions=0 depth=4\n")
+        assert main(["query", "--book", str(bad), "--fen", rules.START_FEN]) == 2
+        assert main(["compare", "--book1", str(bad), "--book2", str(bad),
+                     "--suite", suite3_path, "--out", str(tmp_path / "r")]) == 2
+        assert "UTF-8" in capsys.readouterr().err
 
 
 class TestCliCompare:
@@ -209,3 +263,13 @@ class TestCliPlot:
                                "x\tundefined\tundefined\tundefined\tundefined\n")
         assert main(["plot", "--report", str(report_path),
                      "--out", str(tmp_path / "o.svg")]) == 2
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """``build`` never needs numpy; only the statistics of ``compare`` do."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, openbook.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "False"
