@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, List, Optional
 
@@ -184,12 +186,25 @@ def _serialize(book: Book) -> str:
     return body + f"sha256 {digest}\n"
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write UTF-8 text via a temp file and rename, so partial output never lands."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".openbook-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
+
+
 def save_book(book: Book, sink) -> None:
-    """Write a book file. ``sink`` is a path or a text/binary file object."""
+    """Write a book file to a path (atomically) or a text/binary file object."""
     text = _serialize(book)
     if isinstance(sink, str):
-        with open(sink, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_atomic(sink, text)
     elif isinstance(sink, io.TextIOBase):
         sink.write(text)
     else:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from typing import List, Optional
 
 from . import book as book_mod
@@ -30,20 +29,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _write_atomic(path: str, text: str) -> None:
-    """Write via a temp file and rename, so partial output never lands."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".openbook-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
 
 
 def _load_book(path: str) -> book_mod.Book:
@@ -94,10 +79,9 @@ def cmd_build(args) -> int:
     if args.source:
         built.source = args.source
     try:
-        text = book_mod._serialize(built)
+        book_mod.save_book(built, args.out)
     except book_mod.BookFormatError as exc:
         raise DataError(f"cannot write book {args.out}: {exc}")
-    _write_atomic(args.out, text)
     for item in reports:
         print(f"skipped game {item.game_index}: {item.reason}", file=sys.stderr)
     print(f"book written to {args.out}")
@@ -130,13 +114,10 @@ def cmd_compare(args) -> int:
                               resamples=args.bootstrap, seed=args.seed,
                               exclude=exclude)
     os.makedirs(args.out, exist_ok=True)
-    precision = args.precision
-    _write_atomic(os.path.join(args.out, "comparison.tsv"),
-                  report.render_comparison_tsv(doc, precision))
-    _write_atomic(os.path.join(args.out, "expected_score.tsv"),
-                  report.render_expected_tsv(doc, precision))
-    _write_atomic(os.path.join(args.out, "report.md"),
-                  report.render_markdown(doc, precision))
+    for name, render in (("comparison.tsv", report.render_comparison_tsv),
+                         ("expected_score.tsv", report.render_expected_tsv),
+                         ("report.md", report.render_markdown)):
+        book_mod.write_atomic(os.path.join(args.out, name), render(doc, args.precision))
     print(f"report written to {args.out}")
     if doc.metadata["undefined_cells"] != "0":
         print(f"undefined cells: {doc.metadata['undefined_cells']}")
@@ -157,7 +138,7 @@ def cmd_plot(args) -> int:
         svg = plot.scatter_svg(points, marked)
     except plot.PlotError as exc:
         raise DataError(str(exc))
-    _write_atomic(args.out, svg)
+    book_mod.write_atomic(args.out, svg)
     print(f"plot written to {args.out}")
     return EXIT_OK
 

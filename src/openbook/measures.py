@@ -5,8 +5,8 @@ footrule similarity (with its disjoint-lists normalizer), and the
 Jensen-Shannon-divergence similarity over move-count distributions.
 Plus the expected percentage score of a booked position.
 
-Reciprocal ranks are exact rationals; a move missing from a list of
-length k gets rank k + 1 before taking the reciprocal.
+Reciprocal ranks are exact: integers over one common denominator. A move
+missing from a list of length k gets rank k + 1 before the reciprocal.
 """
 
 from __future__ import annotations
@@ -36,26 +36,37 @@ def overlap(a: RankedList, b: RankedList) -> float:
     return len(sans_a & sans_b) / len(union)
 
 
-def assign_reciprocal_ranks(a: RankedList, b: RankedList) -> Dict[str, Tuple[Fraction, Fraction]]:
-    """Reciprocal ranks over the union of moves, as exact rationals."""
+def _exact(a: RankedList, b: RankedList, k1: int, k2: int) -> Tuple[int, dict, int]:
+    """Reciprocal ranks as integer numerators over one common denominator.
+
+    Returns (den, pairs, bound): ``pairs`` maps each move of the union to
+    its numerators in a and b, and bound / den is maxM for lengths k1, k2.
+    den is the lcm of every rank present, of 1..max(k1, k2) and of k1 + 1
+    and k2 + 1, so every reciprocal rank involved is a multiple of 1/den.
+    """
     ranks_a = {e.san: e.rank for e in a}
     ranks_b = {e.san: e.rank for e in b}
-    missing_a = len(a) + 1
-    missing_b = len(b) + 1
-    out = {}
-    for san in ranks_a.keys() | ranks_b.keys():
-        out[san] = (Fraction(1, ranks_a.get(san, missing_a)),
-                    Fraction(1, ranks_b.get(san, missing_b)))
-    return out
+    den = math.lcm(k1 + 1, k2 + 1, *range(2, max(k1, k2) + 1),
+                   *ranks_a.values(), *ranks_b.values())
+    missing_a = den // (k1 + 1)
+    missing_b = den // (k2 + 1)
+    pairs = {san: (den // ranks_a[san] if san in ranks_a else missing_a,
+                   den // ranks_b[san] if san in ranks_b else missing_b)
+             for san in ranks_a.keys() | ranks_b.keys()}
+    bound = (sum(abs(den // i - missing_b) for i in range(1, k1 + 1))
+             + sum(abs(den // j - missing_a) for j in range(1, k2 + 1)))
+    return den, pairs, bound
+
+
+def assign_reciprocal_ranks(a: RankedList, b: RankedList) -> Dict[str, Tuple[Fraction, Fraction]]:
+    """Reciprocal ranks over the union of moves, as exact rationals."""
+    den, pairs, _ = _exact(a, b, len(a), len(b))
+    return {san: (Fraction(na, den), Fraction(nb, den)) for san, (na, nb) in pairs.items()}
 
 
 def _max_m_fraction(k1: int, k2: int) -> Fraction:
-    total = Fraction(0)
-    for i in range(1, k1 + 1):
-        total += abs(Fraction(1, i) - Fraction(1, k2 + 1))
-    for j in range(1, k2 + 1):
-        total += abs(Fraction(1, j) - Fraction(1, k1 + 1))
-    return total
+    den, _, bound = _exact((), (), k1, k2)
+    return Fraction(bound, den)
 
 
 def max_m(k1: int, k2: int) -> float:
@@ -67,20 +78,26 @@ def max_m(k1: int, k2: int) -> float:
 
 def footrule_sum(a: RankedList, b: RankedList) -> Fraction:
     """Sum of absolute reciprocal-rank differences over the move union."""
-    return sum((abs(ra - rb) for ra, rb in assign_reciprocal_ranks(a, b).values()),
-               Fraction(0))
+    den, pairs, _ = _exact(a, b, len(a), len(b))
+    return Fraction(sum(abs(na - nb) for na, nb in pairs.values()), den)
+
+
+def _m_and_max(a: RankedList, b: RankedList) -> Tuple[float, float]:
+    """M and maxM from one exact pass; int / int division rounds correctly."""
+    if not a and not b:
+        raise UndefinedMeasureError("m_measure of two empty lists")
+    den, pairs, bound = _exact(a, b, len(a), len(b))
+    if bound == 0:
+        # a single move against an empty list: the disjoint-lists bound
+        # collapses to zero, so the normalized distance is undefined
+        raise UndefinedMeasureError("m_measure normalizer is zero")
+    footrule = sum(abs(na - nb) for na, nb in pairs.values())
+    return (bound - footrule) / bound, bound / den
 
 
 def m_measure(a: RankedList, b: RankedList) -> float:
     """1 − footrule_sum / max_m: reciprocal-rank similarity in [0, 1]."""
-    if not a and not b:
-        raise UndefinedMeasureError("m_measure of two empty lists")
-    normalizer = _max_m_fraction(len(a), len(b))
-    if normalizer == 0:
-        # a single move against an empty list: the disjoint-lists bound
-        # collapses to zero, so the normalized distance is undefined
-        raise UndefinedMeasureError("m_measure normalizer is zero")
-    return float(1 - footrule_sum(a, b) / normalizer)
+    return _m_and_max(a, b)[0]
 
 
 def normalize_counts(a: RankedList, min_games: int = 10) -> MoveDistribution:
@@ -170,8 +187,7 @@ def compare_position(position_id: str, a: RankedList, b: RankedList,
     except UndefinedMeasureError:
         overlap_value = None
     try:
-        m_value = m_measure(a, b)
-        max_value = max_m(len(a), len(b))
+        m_value, max_value = _m_and_max(a, b)
     except UndefinedMeasureError:
         m_value = None
         max_value = None

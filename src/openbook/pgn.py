@@ -180,7 +180,8 @@ def _movetext_tokens(text: str):
         if token in RESULTS:
             result = token
             break
-        if token[0].isdigit():
+        # "0000" is a null move, not a move number
+        if token[0].isdigit() and token not in NULL_MOVE_TOKENS:
             if _MOVE_NUMBER_RE.fullmatch(token):
                 continue
             # glued move numbers like "1.e4"
@@ -278,10 +279,13 @@ def _replay(game: GameRecord) -> tuple:
     return tuple(line)
 
 
+_INITIAL_POSITION = rules.initial_position()  # immutable, so every game shares it
+
+
 def start_position(tags: dict) -> rules.Position:
     """The position a game starts from: its FEN tag's, else the initial one."""
     fen = tags.get("FEN")
-    return rules.parse_fen(fen) if fen else rules.initial_position()
+    return rules.parse_fen(fen) if fen else _INITIAL_POSITION
 
 
 def filter_games(games: Iterable[GameRecord], game_filter: GameFilter) -> Iterator[GameRecord]:

@@ -17,6 +17,7 @@ from .measures import ComparisonRow
 
 RNG_ALGORITHM = "numpy-PCG64"
 STD_CONVENTION = "sample(n-1)"
+BOOTSTRAP_BLOCK_ROWS = 128  # resamples evaluated together by the Pearson path
 
 if TYPE_CHECKING:
     import numpy as np
@@ -115,13 +116,19 @@ def bootstrap_ci(sample: PairedSample,
     rng = np.random.Generator(np.random.PCG64(seed))
     indices = rng.integers(0, n, size=(resamples, n))
     if statistic is pearson_xy:
-        xs = x[indices]
-        ys = y[indices]
-        xm = xs - xs.mean(axis=1, keepdims=True)
-        ym = ys - ys.mean(axis=1, keepdims=True)
-        denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
-        valid_mask = denominator > 0.0
-        values = (xm * ym).sum(axis=1)[valid_mask] / denominator[valid_mask]
+        # one block of resamples at a time bounds the working memory; each
+        # row is reduced on its own, so the values are a whole-matrix pass's
+        blocks = []
+        for start in range(0, resamples, BOOTSTRAP_BLOCK_ROWS):
+            rows = indices[start:start + BOOTSTRAP_BLOCK_ROWS]
+            xm = x[rows]
+            xm -= xm.mean(axis=1, keepdims=True)
+            ym = y[rows]
+            ym -= ym.mean(axis=1, keepdims=True)
+            denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
+            valid = denominator > 0.0
+            blocks.append((xm * ym).sum(axis=1)[valid] / denominator[valid])
+        values = np.concatenate(blocks)
     else:
         collected = []
         for row in indices:

@@ -1,4 +1,5 @@
 import io
+import os
 import random
 
 import pytest
@@ -158,6 +159,23 @@ class TestPersistence:
             save_book(book, buffer)
         assert buffer.getvalue() == ""
 
+
+    def test_save_to_path_replaces_the_file_whole_or_not_at_all(self, tmp_path, monkeypatch):
+        path = tmp_path / "b.book"
+        save_book(self.build_sample(), str(path))
+        assert load_book(str(path)) == self.build_sample()
+        before = path.read_bytes()
+        refused = build_book([game(["e4"], "1-0")], max_depth=2, source="a\nb")
+        with pytest.raises(BookFormatError, match="source"):
+            save_book(refused, str(path))
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            save_book(build_book([], max_depth=4, source="other"), str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["b.book"]  # no temp file left behind
 
 class TestMerge:
     def test_merge_with_empty_is_identity(self):

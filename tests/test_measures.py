@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import openbook
@@ -277,3 +277,55 @@ class TestProperties:
         # fully disjoint by construction: the bound is attained
         assert float(footrule_sum(a, b)) == pytest.approx(
             max_m(len(a), len(b)), abs=1e-12)
+
+
+def oracle_reciprocals(a, b):
+    ranks_a = {e.san: e.rank for e in a}
+    ranks_b = {e.san: e.rank for e in b}
+    return {san: (Fraction(1, ranks_a.get(san, len(a) + 1)),
+                  Fraction(1, ranks_b.get(san, len(b) + 1)))
+            for san in ranks_a.keys() | ranks_b.keys()}
+
+
+def oracle_footrule(a, b):
+    return sum((abs(ra - rb) for ra, rb in oracle_reciprocals(a, b).values()), Fraction(0))
+
+
+def oracle_m_and_max(a, b):
+    """(M, maxM) from Fraction arithmetic, or (None, None) where undefined."""
+    k1, k2 = len(a), len(b)
+    footrule = oracle_footrule(a, b)
+    bound = (sum((abs(Fraction(1, i) - Fraction(1, k2 + 1)) for i in range(1, k1 + 1)),
+                 Fraction(0))
+             + sum((abs(Fraction(1, j) - Fraction(1, k1 + 1)) for j in range(1, k2 + 1)),
+                   Fraction(0)))
+    if bound == 0:
+        return None, None
+    return float(1 - footrule / bound), float(bound)
+
+
+# hand-built lists: any ranks, consecutive or not, one entry per move
+hand_built = st.lists(st.tuples(st.sampled_from("abcdefghij"), st.integers(1, 40)),
+                      max_size=8, unique_by=lambda t: t[0]).map(
+    lambda pairs: [RankedMove(rank, san, 1, 50.0) for san, rank in pairs])
+single = [RankedMove(1, "e4", 5, 50.0)]
+
+
+class TestExactM:
+    @given(hand_built, hand_built)
+    @example([], [])
+    @example(single, [])
+    @example([], single)
+    @example(single, single)
+    @example(single, [RankedMove(3, "d4", 5, 50.0)])
+    @settings(max_examples=400)
+    def test_m_and_max_match_fraction_oracle(self, a, b):
+        assert assign_reciprocal_ranks(a, b) == oracle_reciprocals(a, b)
+        assert footrule_sum(a, b) == oracle_footrule(a, b)
+        m_value, max_value = oracle_m_and_max(a, b)
+        row = compare_position("p", a, b)
+        assert row.m_measure == m_value
+        assert row.max_m == max_value
+        if m_value is not None:
+            assert m_measure(a, b) == m_value
+            assert max_m(len(a), len(b)) == max_value

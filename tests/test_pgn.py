@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openbook.pgn import (
+    NULL_MOVE_TOKENS,
     GameFilter,
     GameRecord,
     MalformedGame,
@@ -57,6 +58,14 @@ def test_null_move_truncates_but_keeps_prefix():
     game = games[0]
     assert isinstance(game, GameRecord)
     assert game.moves == ("e4", "e5")
+
+
+@pytest.mark.parametrize("null", NULL_MOVE_TOKENS)
+def test_every_null_token_truncates_like_dashes(null):
+    # "0000" starts with a digit but is a null move, not a move number
+    games = parse(f'[Result "1-0"]\n\n1. e4 {null} 2. d4 d5 1-0')
+    assert isinstance(games[0], GameRecord)
+    assert games[0].moves == ("e4",)
 
 
 def test_multiple_games_and_count_conservation():

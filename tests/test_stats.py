@@ -175,3 +175,48 @@ class TestSummaries:
 
 def test_exp_fit_result_type():
     assert isinstance(exp_fit([100, 50, 25]), FitResult)
+
+
+def whole_matrix_pearson_bootstrap(sample, resamples, seed):
+    """Reference: every resample's Pearson value from one full-matrix pass."""
+    x = np.array(sample.x, dtype=float)
+    y = np.array(sample.y, dtype=float)
+    indices = np.random.Generator(np.random.PCG64(seed)).integers(
+        0, len(sample), size=(resamples, len(sample)))
+    xs = x[indices]
+    ys = y[indices]
+    xm = xs - xs.mean(axis=1, keepdims=True)
+    ym = ys - ys.mean(axis=1, keepdims=True)
+    denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
+    valid = denominator > 0.0
+    values = (xm * ym).sum(axis=1)[valid] / denominator[valid]
+    lower, upper = np.quantile(values, [0.025, 0.975])
+    return float(lower), float(upper)
+
+
+def correlated_sample(n):
+    rng = np.random.Generator(np.random.PCG64(1000 + n))
+    x = rng.random(n)
+    y = 0.6 * x + 0.4 * rng.random(n)
+    return PairedSample(tuple(str(i) for i in range(n)), tuple(x), tuple(y))
+
+
+class TestBootstrapBits:
+    """The Pearson fast path gives the bits of a whole-matrix pass."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    @pytest.mark.parametrize("n", [3, 127, 128, 129, 400])
+    @pytest.mark.parametrize("resamples", [1000, 1001, 10000])
+    def test_interval_bit_identical(self, seed, n, resamples):
+        sample = correlated_sample(n)
+        result = bootstrap_ci(sample, resamples=resamples, seed=seed)
+        assert (result.lower, result.upper) == whole_matrix_pearson_bootstrap(
+            sample, resamples, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_many_degenerate_resamples_bit_identical(self, seed):
+        # a constant x or y column in about 40% of the resamples
+        sample = PairedSample(("a", "b", "c"), (1.0, 1.0, 2.0), (1.0, 2.0, 3.0))
+        result = bootstrap_ci(sample, resamples=10000, seed=seed)
+        assert (result.lower, result.upper) == whole_matrix_pearson_bootstrap(
+            sample, 10000, seed)
