@@ -14,7 +14,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional
 
 from . import rules
 from .pgn import GameRecord, MalformedGame, ReplayError, start_position
@@ -28,8 +28,7 @@ class BookFormatError(ValueError):
     """Raised when a book file is malformed, truncated, or corrupt."""
 
 
-@dataclass(frozen=True)
-class MoveStats:
+class MoveStats(NamedTuple):
     """Counts for one move at one position. games == wins + draws + losses."""
 
     san: str
@@ -44,8 +43,7 @@ class MoveStats:
         return 100.0 * (self.white_wins + self.draws / 2.0) / self.games
 
 
-@dataclass(frozen=True)
-class RankedMove:
+class RankedMove(NamedTuple):
     """One row of a per-position ranked move table."""
 
     rank: int
@@ -191,6 +189,9 @@ def write_atomic(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".openbook-")
     try:
+        umask = os.umask(0)  # give the file open()'s mode, not mkstemp's 0o600
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, path)

@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="build a book from PGN files")
-    p_build.add_argument("--pgn", nargs="+", required=True)
+    p_build.add_argument("--pgn", nargs="+", action="extend", required=True)
     p_build.add_argument("--depth", type=int, default=40,
                          help="maximum plies recorded per game")
     p_build.add_argument("--out", required=True)

@@ -8,9 +8,10 @@ returns a new Position.
 
 from __future__ import annotations
 
+import functools
 import re
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import takewhile
+from typing import NamedTuple, Optional, Tuple
 
 WHITE = "w"
 BLACK = "b"
@@ -26,6 +27,23 @@ ROOK_DIRS = (16, 1, -1, -16)
 
 # on-board 0x88 indices, a1 first
 SQUARES = tuple(16 * r + f for r in range(8) for f in range(8))
+
+
+def _rays(sq: int, dirs: tuple) -> tuple:
+    """The non-empty rays from 0x88 square ``sq`` along ``dirs``, each nearest
+    square first; none from an off-board slot."""
+    if sq & 0x88:
+        return ()
+    rays = [tuple(takewhile(lambda s: not s & 0x88, range(sq + d, sq + 8 * d, d))) for d in dirs]
+    return tuple(ray for ray in rays if ray)
+
+
+# indexed by 0x88 square and built once, so the attack, pin and origin walks
+# need no bounds tests
+_ROOK_RAYS = [_rays(sq, ROOK_DIRS) for sq in range(128)]
+_BISHOP_RAYS = [_rays(sq, BISHOP_DIRS) for sq in range(128)]
+_KNIGHT_STEPS = [tuple(ray[0] for ray in _rays(sq, KNIGHT_OFFSETS)) for sq in range(128)]
+_KING_STEPS = [tuple(ray[0] for ray in _rays(sq, KING_OFFSETS)) for sq in range(128)]
 
 A1, B1, C1, D1, E1, F1, G1, H1 = range(8)
 A8, B8, C8, D8, E8, F8, G8, H8 = range(112, 120)
@@ -53,8 +71,7 @@ def parse_square(name: str) -> int:
     return 16 * (int(name[1]) - 1) + FILES.index(name[0])
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """A move between two 0x88 squares, with the flags SAN needs."""
 
     from_sq: int
@@ -69,8 +86,7 @@ class Move:
         return square_name(self.from_sq) + square_name(self.to_sq) + suffix
 
 
-@dataclass(frozen=True)
-class Position:
+class Position(NamedTuple):
     """Immutable chess position.
 
     ``board`` has 128 slots (0x88); ``castling`` is a subset of "KQkq" in
@@ -87,10 +103,6 @@ class Position:
     fullmove: int
 
 
-def _is_white(piece: str) -> bool:
-    return piece.isupper()
-
-
 def _attacked(board, sq: int, by_white: bool) -> bool:
     """Is ``sq`` attacked by any piece of the given color?"""
     pawn, knight, king = ("P", "N", "K") if by_white else ("p", "n", "k")
@@ -101,32 +113,20 @@ def _attacked(board, sq: int, by_white: bool) -> bool:
         s = sq + d
         if not s & 0x88 and board[s] == pawn:
             return True
-    for d in KNIGHT_OFFSETS:
-        s = sq + d
-        if not s & 0x88 and board[s] == knight:
+    for s in _KNIGHT_STEPS[sq]:
+        if board[s] == knight:
             return True
-    for d in KING_OFFSETS:
-        s = sq + d
-        if not s & 0x88 and board[s] == king:
+    for s in _KING_STEPS[sq]:
+        if board[s] == king:
             return True
-    for d in ROOK_DIRS:
-        s = sq + d
-        while not s & 0x88:
-            pc = board[s]
-            if pc is not None:
-                if pc in rook_q:
-                    return True
-                break
-            s += d
-    for d in BISHOP_DIRS:
-        s = sq + d
-        while not s & 0x88:
-            pc = board[s]
-            if pc is not None:
-                if pc in bishop_q:
-                    return True
-                break
-            s += d
+    for rays, sliders in ((_ROOK_RAYS[sq], rook_q), (_BISHOP_RAYS[sq], bishop_q)):
+        for ray in rays:
+            for s in ray:
+                pc = board[s]
+                if pc is not None:
+                    if pc in sliders:
+                        return True
+                    break
     return False
 
 
@@ -140,12 +140,11 @@ def _find_king(board, color: str) -> int:
 def _pinned_squares(board, king_sq: int, white: bool) -> set:
     """Squares of own pieces absolutely pinned to the king."""
     pinned = set()
-    for dirs, sliders in ((ROOK_DIRS, ("r", "q") if white else ("R", "Q")),
-                          (BISHOP_DIRS, ("b", "q") if white else ("B", "Q"))):
-        for d in dirs:
-            s = king_sq + d
+    for rays, sliders in ((_ROOK_RAYS[king_sq], ("r", "q") if white else ("R", "Q")),
+                          (_BISHOP_RAYS[king_sq], ("b", "q") if white else ("B", "Q"))):
+        for ray in rays:
             blocker = None
-            while not s & 0x88:
+            for s in ray:
                 pc = board[s]
                 if pc is not None:
                     if blocker is None:
@@ -157,7 +156,6 @@ def _pinned_squares(board, king_sq: int, white: bool) -> set:
                         if pc in sliders:
                             pinned.add(blocker)
                         break
-                s += d
     return pinned
 
 
@@ -310,13 +308,14 @@ def _apply(p: Position, m: Move) -> Position:
         board[rook_from] = None
 
     rights = p.castling
-    if pc == "K":
-        rights = rights.replace("K", "").replace("Q", "")
-    elif pc == "k":
-        rights = rights.replace("k", "").replace("q", "")
-    for sq, flag in ((H1, "K"), (A1, "Q"), (H8, "k"), (A8, "q")):
-        if m.from_sq == sq or m.to_sq == sq:
-            rights = rights.replace(flag, "")
+    if rights:
+        if pc == "K":
+            rights = rights.replace("K", "").replace("Q", "")
+        elif pc == "k":
+            rights = rights.replace("k", "").replace("q", "")
+        for sq, flag in ((H1, "K"), (A1, "Q"), (H8, "k"), (A8, "q")):
+            if m.from_sq == sq or m.to_sq == sq:
+                rights = rights.replace(flag, "")
 
     ep = None
     if pc in ("P", "p") and abs(m.to_sq - m.from_sq) == 32:
@@ -466,11 +465,23 @@ _SAN_BODY = re.compile(
 )
 
 
-def _clean_san(text: str) -> str:
-    token = text.strip()
-    token = token.replace("e.p.", "").replace("(ep)", "")
-    token = token.rstrip("+#!?")
-    return token
+SAN_TOKEN_CACHE_SIZE = 4096  # distinct token texts whose parse _parse_token keeps
+
+
+@functools.lru_cache(maxsize=SAN_TOKEN_CACHE_SIZE)
+def _parse_token(text: str):
+    """The parts of a SAN token, ``(piece, from_file, from_rank, to_sq, promo,
+    castle)``, or the head of the error message if it names no move."""
+    token = text.strip().replace("e.p.", "").replace("(ep)", "").rstrip("+#!?")
+    if not token:
+        return "empty SAN token"
+    if token in ("O-O", "0-0", "O-O-O", "0-0-0"):
+        return None, None, None, None, None, "K" if len(token) == 3 else "Q"
+    match = _SAN_BODY.fullmatch(token)
+    if not match:
+        return "unparsable SAN"
+    piece, from_file, from_rank, _, to_name, promo = match.groups()
+    return piece or "P", from_file, from_rank, parse_square(to_name), promo, None
 
 
 def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
@@ -505,17 +516,21 @@ def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
                   and board[s + back] == own):
                 moves.append(Move(s + back, to_sq))
     elif piece in ("N", "K"):
-        for d in KNIGHT_OFFSETS if piece == "N" else KING_OFFSETS:
-            s = to_sq + d
-            if not s & 0x88 and board[s] == own:
+        for s in (_KNIGHT_STEPS if piece == "N" else _KING_STEPS)[to_sq]:
+            if board[s] == own:
                 moves.append(Move(s, to_sq, capture=capture))
     else:
-        for d in ROOK_DIRS if piece == "R" else BISHOP_DIRS if piece == "B" else KING_OFFSETS:
-            s = to_sq + d
-            while not s & 0x88 and board[s] is None:
-                s += d
-            if not s & 0x88 and board[s] == own:
-                moves.append(Move(s, to_sq, capture=capture))
+        rays = (_ROOK_RAYS[to_sq] if piece == "R" else _BISHOP_RAYS[to_sq] if piece == "B"
+                else _ROOK_RAYS[to_sq] + _BISHOP_RAYS[to_sq])
+        for ray in rays:
+            for s in ray:
+                pc = board[s]
+                if pc is not None:
+                    if pc == own:
+                        moves.append(Move(s, to_sq, capture=capture))
+                    break
+    if not moves:
+        return moves
     scratch = list(board)
     king_sq = _find_king(scratch, p.turn)
     return [m for m in moves if _leaves_king_safe(scratch, m, white, king_sq)]
@@ -524,20 +539,15 @@ def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
 def _resolve(p: Position, text: str):
     """The unique legal move a SAN token names, and the legal moves of its
     piece type onto its target square (all castling moves for O-O/O-O-O)."""
-    token = _clean_san(text)
-    if not token:
-        raise IllegalMoveError(f"empty SAN token {text!r} in {emit_fen(p)}")
-    if token in ("O-O", "0-0", "O-O-O", "0-0-0"):
+    parsed = _parse_token(text)
+    if isinstance(parsed, str):
+        raise IllegalMoveError(f"{parsed} {text!r} in {emit_fen(p)}")
+    piece, from_file, from_rank, to_sq, promo, castle = parsed
+    if castle:
         pool = _castles(p)
-        side = "K" if len(token) == 3 else "Q"
-        candidates = [m for m in pool if m.castle == side]
+        candidates = [m for m in pool if m.castle == castle]
     else:
-        match = _SAN_BODY.fullmatch(token)
-        if not match:
-            raise IllegalMoveError(f"unparsable SAN {text!r} in {emit_fen(p)}")
-        piece, from_file, from_rank, _, to_name, promo = match.groups()
-        piece = piece or "P"
-        pool = _origins(p, piece, parse_square(to_name), promo)
+        pool = _origins(p, piece, to_sq, promo)
         # pawn captures always carry the source file in SAN
         candidates = [m for m in pool
                       if (from_file or piece != "P" or not m.capture)

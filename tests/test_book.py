@@ -9,6 +9,7 @@ from openbook.book import (
     Book,
     BookFormatError,
     MoveStats,
+    RankedMove,
     build_book,
     load_book,
     merge_books,
@@ -230,3 +231,13 @@ class TestMerge:
 def test_move_stats_score():
     stats = MoveStats("e4", 4, 1, 2, 1)
     assert stats.score_percent == 50.0
+
+
+def test_move_stats_and_ranked_move_are_immutable_and_hashable():
+    stats = MoveStats("e4", 4, 1, 2, 1)
+    ranked = RankedMove(1, "e4", 4, 50.0)
+    for value, field in ((stats, "games"), (ranked, "rank")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0)
+    assert len({stats, MoveStats("e4", 4, 1, 2, 1)}) == 1
+    assert len({ranked, RankedMove(1, "e4", 4, 50.0)}) == 1

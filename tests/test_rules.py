@@ -412,3 +412,84 @@ def test_position_key_matches_brute_force():
                 p = rules._apply(p, rng.choice(jumps if jumps and rng.random() < 0.5
                                                else moves))
     assert ep_shown.count(True) > 100 and ep_shown.count(False) > 100
+
+
+def oracle_attacked(p, sq, by_white):
+    """Brute force: with a dummy enemy knight on ``sq``, does some
+    pseudo-legal capture of the given colour land there?"""
+    board = list(p.board)
+    board[sq] = "n" if by_white else "N"
+    q = rules.Position(tuple(board), rules.WHITE if by_white else rules.BLACK,
+                       "", None, 0, 1)
+    return any(m.to_sq == sq and m.capture for m in rules._pseudo_moves(q))
+
+
+@pytest.mark.parametrize("fen", [rules.START_FEN] + [fen for fen, _ in TRICKY])
+def test_attacked_matches_brute_force_oracle(fen):
+    rng = random.Random(fen)
+    p = parse_fen(fen)
+    for _ in range(10):
+        for sq in rules.SQUARES:
+            for by_white in (True, False):
+                assert rules._attacked(p.board, sq, by_white) == oracle_attacked(
+                    p, sq, by_white), (emit_fen(p), rules.square_name(sq), by_white)
+        moves = legal_moves(p)
+        if not moves:
+            break
+        p = rules._apply(p, rng.choice(moves))
+
+
+def walk(sq, d, slide):
+    """0x88 squares reached from ``sq`` along ``d``: one step or a whole ray."""
+    out, s = [], sq + d
+    while not s & 0x88:
+        out.append(s)
+        if not slide:
+            break
+        s += d
+    return out
+
+
+def test_square_tables_match_a_plain_walk():
+    for sq in range(128):
+        if sq & 0x88:
+            tables = (rules._KNIGHT_STEPS, rules._KING_STEPS, rules._ROOK_RAYS,
+                      rules._BISHOP_RAYS)
+            assert all(table[sq] == () for table in tables)
+            continue
+        for table, offsets in ((rules._KNIGHT_STEPS, rules.KNIGHT_OFFSETS),
+                               (rules._KING_STEPS, rules.KING_OFFSETS)):
+            assert list(table[sq]) == [s for d in offsets for s in walk(sq, d, False)]
+        for table, dirs in ((rules._ROOK_RAYS, rules.ROOK_DIRS),
+                            (rules._BISHOP_RAYS, rules.BISHOP_DIRS)):
+            assert [list(ray) for ray in table[sq]] == [
+                walk(sq, d, True) for d in dirs if walk(sq, d, True)]
+
+
+class TestSanTokenCache:
+    def test_bad_tokens_keep_their_messages_on_every_lookup(self):
+        p = rules.initial_position()
+        for text, message in (("  +!? ", f"empty SAN token '  +!? ' in {rules.START_FEN}"),
+                              ("Zz9", f"unparsable SAN 'Zz9' in {rules.START_FEN}")):
+            for _ in range(2):
+                with pytest.raises(IllegalMoveError) as err:
+                    parse_san(p, text)
+                assert str(err.value) == message
+
+    def test_cache_stays_bounded(self):
+        p = rules.initial_position()
+        for index in range(2 * rules.SAN_TOKEN_CACHE_SIZE + 10):
+            with pytest.raises(IllegalMoveError):
+                parse_san(p, f"junk{index}")
+            assert rules._parse_token.cache_info().currsize <= rules.SAN_TOKEN_CACHE_SIZE
+        assert parse_san(p, "e4") == Move(rules.parse_square("e2"), rules.parse_square("e4"))
+
+
+def test_move_and_position_are_immutable_and_hashable():
+    p = rules.initial_position()
+    m = legal_moves(p)[0]
+    for value, field in ((m, "to_sq"), (p, "turn")):
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert len({m, parse_san(p, emit_san(p, m))}) == 1
+    assert len({p, parse_fen(rules.START_FEN)}) == 1

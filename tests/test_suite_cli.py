@@ -1,5 +1,6 @@
 import os
 import random
+import stat
 import subprocess
 import sys
 
@@ -135,6 +136,21 @@ class TestCliBuild:
         assert len(calls) == expected
         assert "skipped game 5:" in capsys.readouterr().err
 
+    def test_repeated_pgn_flags_read_every_file(self, tmp_path, pb_mini_path,
+                                                comp_mini_path):
+        repeated, listed = str(tmp_path / "repeated.book"), str(tmp_path / "listed.book")
+        assert main(["build", "--pgn", pb_mini_path, "--pgn", comp_mini_path,
+                     "--out", repeated, "--source", "both"]) == 0
+        assert main(["build", "--pgn", pb_mini_path, comp_mini_path,
+                     "--out", listed, "--source", "both"]) == 0
+        with open(repeated, "rb") as fa, open(listed, "rb") as fb:
+            assert fa.read() == fb.read()
+        from openbook.book import load_book
+        parts = [str(tmp_path / "pb.book"), str(tmp_path / "comp.book")]
+        for path, out in zip((pb_mini_path, comp_mini_path), parts):
+            assert main(["build", "--pgn", path, "--out", out]) == 0
+        assert load_book(repeated).games == sum(load_book(out).games for out in parts)
+
     def test_line_break_in_source_refused(self, tmp_path, pb_mini_path, capsys):
         out = tmp_path / "o.book"
         assert main(["build", "--pgn", pb_mini_path, "--out", str(out),
@@ -263,6 +279,25 @@ class TestCliPlot:
                                "x\tundefined\tundefined\tundefined\tundefined\n")
         assert main(["plot", "--report", str(report_path),
                      "--out", str(tmp_path / "o.svg")]) == 2
+
+
+def test_outputs_get_the_mode_of_the_umask(pb_mini_path, comp_mini_path, suite3_path,
+                                           tmp_path):
+    books = [str(tmp_path / "pb.book"), str(tmp_path / "comp.book")]
+    report, svg = str(tmp_path / "report"), str(tmp_path / "scatter.svg")
+    old = os.umask(0o022)
+    try:
+        for pgn, book in zip((pb_mini_path, comp_mini_path), books):
+            assert main(["build", "--pgn", pgn, "--depth", "4", "--out", book]) == 0
+        assert main(["compare", "--book1", books[0], "--book2", books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "100",
+                     "--out", report]) == 0
+        assert main(["plot", "--report", os.path.join(report, "comparison.tsv"),
+                     "--out", svg]) == 0
+    finally:
+        os.umask(old)
+    for path in books + [os.path.join(report, "report.md"), svg]:
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
 
 
 def test_cli_import_leaves_numpy_unloaded():
