@@ -30,7 +30,7 @@ from .rules import (
     position_key,
     resolve_san,
 )
-from .stats import BootstrapResult, FitResult, PairedSample, bootstrap_ci, exp_fit, pearson, summarize
+from .stats import BootstrapResult, PairedSample, bootstrap_ci, pearson, summarize
 from .suite import SuiteEntry, parse_epd_suite
 
 __version__ = "0.1.0"

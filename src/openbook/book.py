@@ -14,10 +14,10 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple, Optional
 
 from . import rules
-from .pgn import GameRecord, MalformedGame, ReplayError, start_position
+from .pgn import GameRecord, start_position
 
 FORMAT_HEADER = "openbook-diff v1"
 
@@ -95,33 +95,24 @@ def query(book: Book, position: rules.Position) -> List[RankedMove]:
 _RESULT_TALLY = {"1-0": (1, 0, 0), "1/2-1/2": (0, 1, 0), "0-1": (0, 0, 1)}
 
 
-def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "",
-               on_error: Optional[Callable[[MalformedGame], None]] = None) -> Book:
+def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "") -> Book:
     """Accumulate move statistics over the first ``max_depth`` plies of each game.
 
     Games with unknown results carry no score information and are skipped.
     Each game is replayed from its FEN tag's position, if it has one, using
-    the moves its ``line`` resolved. Games whose moves do not all replay,
-    even past ``max_depth``, are reported through ``on_error`` and skipped.
+    the moves its ``line`` resolved; a game whose moves do not all replay,
+    even past ``max_depth``, raises ``pgn.ReplayError``. Records that
+    ``parse_pgn_stream`` yields have already replayed.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     counts: dict = {}
     total_games = 0
     for game in games:
-        if isinstance(game, MalformedGame):
-            if on_error:
-                on_error(game)
-            continue
         tally = _RESULT_TALLY.get(game.result)
         if tally is None:
             continue
-        try:
-            line = game.line
-        except ReplayError as exc:
-            if on_error:
-                on_error(exc.report)
-            continue
+        line = game.line
         pos = start_position(game.tags)
         for move, pool in line[:max_depth]:
             successor = rules._apply(pos, move)
@@ -264,8 +255,9 @@ def load_book(source) -> Book:
                 games_n, wins, draws, losses = (int(x) for x in parts[2:])
             except ValueError:
                 raise BookFormatError(f"line {number}: non-integer counts in {line!r}")
-            if games_n != wins + draws + losses:
-                raise BookFormatError(f"line {number}: counts do not add up in {line!r}")
+            # save_book writes only moves played at least once
+            if games_n != wins + draws + losses or min(wins, draws, losses) < 0 or games_n < 1:
+                raise BookFormatError(f"line {number}: bad counts in {line!r}")
             if san in current:
                 raise BookFormatError(f"line {number}: duplicate move {san!r}")
             current[san] = MoveStats(san, games_n, wins, draws, losses)

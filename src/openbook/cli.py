@@ -31,6 +31,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+# argparse turns a ValueError from int() into "invalid ... value"
+def _depth(text: str) -> int:
+    depth = int(text)
+    if depth < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return depth
+
+
+def _precision(text: str) -> str:
+    if text != "full" and int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be 'full' or at least 0, got {text!r}")
+    return text
+
+
 def _load_book(path: str) -> book_mod.Book:
     try:
         return book_mod.load_book(path)
@@ -71,8 +85,7 @@ def cmd_build(args) -> int:
         # would drop are still reported
         partial = book_mod.build_book(filter_games(_parsed_games(path, reports), game_filter),
                                       max_depth=args.depth,
-                                      source=args.source or os.path.basename(path),
-                                      on_error=reports.append)
+                                      source=args.source or os.path.basename(path))
         built = partial if built is None else book_mod.merge_books(built, partial)
     if built is None:
         raise DataError("no PGN inputs")
@@ -150,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a book from PGN files")
     p_build.add_argument("--pgn", nargs="+", action="extend", required=True)
-    p_build.add_argument("--depth", type=int, default=40,
+    p_build.add_argument("--depth", type=_depth, default=40,
                          help="maximum plies recorded per game")
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--min-rating", type=int, default=None)
@@ -179,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--exclude", default="",
                            help="comma-separated position ids to exclude "
                                 "from the second correlation pass")
-    p_compare.add_argument("--precision", default="3",
+    p_compare.add_argument("--precision", type=_precision, default="3",
                            help="decimal places, or 'full'")
     p_compare.add_argument("--out", required=True, help="output directory")
     p_compare.set_defaults(func=cmd_compare)

@@ -126,17 +126,6 @@ def jsd_similarity(p: MoveDistribution, q: MoveDistribution) -> float:
     return 1.0 - math.sqrt(divergence)
 
 
-def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:
-    """Independent JSD route via entropies: H((p+q)/2) − H(p)/2 − H(q)/2."""
-    def entropy(dist):
-        return -sum(x * math.log2(x) for x in dist if x > 0.0)
-    support = sorted(p.keys() | q.keys())
-    pv = [p.get(s, 0.0) for s in support]
-    qv = [q.get(s, 0.0) for s in support]
-    mid = [(x + y) / 2.0 for x, y in zip(pv, qv)]
-    return entropy(mid) - entropy(pv) / 2.0 - entropy(qv) / 2.0
-
-
 def expected_score(a: RankedList, min_games: int = 10) -> Tuple[float, int]:
     """Expected percentage score (White's viewpoint) over surviving moves.
 

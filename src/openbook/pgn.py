@@ -10,7 +10,7 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 from . import rules
 
@@ -78,12 +78,10 @@ class GameFilter:
     """Predicate bundle applied by filter_games.
 
     ``min_rating`` requires WhiteElo and BlackElo tags at or above the bound;
-    ``tag_predicates`` are callables over the tag dict; with
-    ``require_result`` set, games with an unknown result are dropped.
+    with ``require_result`` set, games with an unknown result are dropped.
     """
 
     min_rating: Optional[int] = None
-    tag_predicates: Tuple[Callable[[dict], bool], ...] = ()
     require_result: bool = True
 
     def accepts(self, game: GameRecord) -> bool:
@@ -95,12 +93,6 @@ class GameFilter:
             if white is None or black is None:
                 return False
             if white < self.min_rating or black < self.min_rating:
-                return False
-        for predicate in self.tag_predicates:
-            try:
-                if not predicate(game.tags):
-                    return False
-            except Exception:
                 return False
         return True
 
@@ -291,5 +283,5 @@ def start_position(tags: dict) -> rules.Position:
 def filter_games(games: Iterable[GameRecord], game_filter: GameFilter) -> Iterator[GameRecord]:
     """Pass through exactly the games accepted by the filter, in order."""
     for game in games:
-        if isinstance(game, GameRecord) and game_filter.accepts(game):
+        if game_filter.accepts(game):
             yield game

@@ -371,7 +371,7 @@ def parse_fen(text: str) -> Position:
         rank = 7 - i
         file = 0
         for ch in rank_text:
-            if ch.isdigit():
+            if ch in "12345678":  # not str.isdigit, which takes "²" and "٨"
                 file += int(ch)
             elif ch in "PNBRQKpnbrqk":
                 if file > 7:

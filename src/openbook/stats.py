@@ -1,4 +1,4 @@
-"""Cross-position statistics: correlation, bootstrap CIs, exponential fit.
+"""Cross-position statistics: Pearson correlation, its bootstrap CI, summaries.
 
 Bootstrap resampling uses numpy's PCG64 generator seeded explicitly, so a
 (seed, resamples) pair maps to one exact result. Standard deviations are
@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 from .measures import ComparisonRow
 
 RNG_ALGORITHM = "numpy-PCG64"
 STD_CONVENTION = "sample(n-1)"
-BOOTSTRAP_BLOCK_ROWS = 128  # resamples evaluated together by the Pearson path
+BOOTSTRAP_BLOCK_ROWS = 128  # resamples evaluated together
 
 if TYPE_CHECKING:
     import numpy as np
 
 
 class StatsError(ValueError):
-    """Raised when a statistic is undefined for the given sample."""
+    """Raised when a correlation or summary is undefined for the given sample."""
 
 
 @dataclass(frozen=True)
@@ -62,15 +62,6 @@ class BootstrapResult:
     seed: int
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Log-linear least-squares fit: ln(count) ≈ intercept + slope · rank."""
-
-    intercept: float
-    slope: float
-    r_squared: float
-
-
 def pearson_xy(x: np.ndarray, y: np.ndarray) -> float:
     """Product-moment correlation of two vectors; StatsError if constant."""
     import numpy as np
@@ -94,10 +85,9 @@ def pearson(sample: PairedSample) -> float:
     return pearson_xy(np.array(sample.x), np.array(sample.y))
 
 
-def bootstrap_ci(sample: PairedSample,
-                 statistic: Callable[[np.ndarray, np.ndarray], float] = pearson_xy,
-                 resamples: int = 10000, seed: int = 0) -> BootstrapResult:
-    """Percentile bootstrap of a paired statistic.
+def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
+                 seed: int = 0) -> BootstrapResult:
+    """Percentile bootstrap of the Pearson correlation.
 
     Resamples pairs with replacement; resamples where either column is
     constant are skipped. More than 50% degenerate resamples is an error.
@@ -112,51 +102,27 @@ def bootstrap_ci(sample: PairedSample,
         raise StatsError(f"need at least 1000 resamples, got {resamples}")
     x = np.array(sample.x, dtype=float)
     y = np.array(sample.y, dtype=float)
-    estimate = statistic(x, y)
+    estimate = pearson_xy(x, y)
     rng = np.random.Generator(np.random.PCG64(seed))
     indices = rng.integers(0, n, size=(resamples, n))
-    if statistic is pearson_xy:
-        # one block of resamples at a time bounds the working memory; each
-        # row is reduced on its own, so the values are a whole-matrix pass's
-        blocks = []
-        for start in range(0, resamples, BOOTSTRAP_BLOCK_ROWS):
-            rows = indices[start:start + BOOTSTRAP_BLOCK_ROWS]
-            xm = x[rows]
-            xm -= xm.mean(axis=1, keepdims=True)
-            ym = y[rows]
-            ym -= ym.mean(axis=1, keepdims=True)
-            denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
-            valid = denominator > 0.0
-            blocks.append((xm * ym).sum(axis=1)[valid] / denominator[valid])
-        values = np.concatenate(blocks)
-    else:
-        collected = []
-        for row in indices:
-            try:
-                collected.append(statistic(x[row], y[row]))
-            except StatsError:
-                continue
-        values = np.array(collected)
+    # one block of resamples at a time bounds the working memory; each row
+    # is reduced on its own, so the values are a whole-matrix pass's
+    blocks = []
+    for start in range(0, resamples, BOOTSTRAP_BLOCK_ROWS):
+        rows = indices[start:start + BOOTSTRAP_BLOCK_ROWS]
+        xm = x[rows]
+        xm -= xm.mean(axis=1, keepdims=True)
+        ym = y[rows]
+        ym -= ym.mean(axis=1, keepdims=True)
+        denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
+        valid = denominator > 0.0
+        blocks.append((xm * ym).sum(axis=1)[valid] / denominator[valid])
+    values = np.concatenate(blocks)
     if len(values) < resamples / 2:
         raise StatsError(
             f"{resamples - len(values)} of {resamples} resamples were degenerate")
     lower, upper = np.quantile(values, [0.025, 0.975])
     return BootstrapResult(estimate, float(lower), float(upper), resamples, seed)
-
-
-def exp_fit(counts: Sequence[float]) -> FitResult:
-    """OLS of ln(count) against rank 1..n, with r² of the fitted pairs."""
-    import numpy as np
-
-    if len(counts) < 3:
-        raise StatsError(f"need at least 3 counts, got {len(counts)}")
-    if any(c < 1 for c in counts):
-        raise StatsError("counts must be positive")
-    ranks = np.arange(1, len(counts) + 1, dtype=float)
-    logs = np.log(np.asarray(counts, dtype=float))
-    slope, intercept = np.polyfit(ranks, logs, 1)
-    r = pearson_xy(ranks, logs)  # StatsError on constant log-counts
-    return FitResult(float(intercept), float(slope), r * r)
 
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:

@@ -32,7 +32,10 @@ def parse_epd_suite(source: Union[str, Iterable[str]]) -> List[SuiteEntry]:
     """Parse an EPD file (path or iterable of lines) into suite entries."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
+            try:
+                lines = handle.readlines()
+            except UnicodeDecodeError as exc:
+                raise SuiteError(f"not UTF-8 text: {exc}") from None
     else:
         lines = list(source)
     entries: List[SuiteEntry] = []

@@ -1,0 +1,16 @@
+"""Reference implementations that tests compare the library against."""
+
+import math
+
+from openbook.measures import MoveDistribution
+
+
+def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:
+    """Independent JSD route via entropies: H((p+q)/2) − H(p)/2 − H(q)/2."""
+    def entropy(dist):
+        return -sum(x * math.log2(x) for x in dist if x > 0.0)
+    support = sorted(p.keys() | q.keys())
+    pv = [p.get(s, 0.0) for s in support]
+    qv = [q.get(s, 0.0) for s in support]
+    mid = [(x + y) / 2.0 for x, y in zip(pv, qv)]
+    return entropy(mid) - entropy(pv) / 2.0 - entropy(qv) / 2.0

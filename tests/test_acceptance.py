@@ -11,12 +11,12 @@ import random
 import pytest
 
 import refdata
+from oracles import jsd_entropy_form
 from openbook import rules
 from openbook.book import build_book, load_book, merge_books, ranked_from_counts, save_book
 from openbook.cli import main
 from openbook.measures import (
     assign_reciprocal_ranks,
-    jsd_entropy_form,
     jsd_similarity,
     m_measure,
     max_m,

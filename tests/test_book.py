@@ -17,7 +17,7 @@ from openbook.book import (
     ranked_from_counts,
     save_book,
 )
-from openbook.pgn import GameRecord
+from openbook.pgn import GameRecord, ReplayError
 
 
 def game(moves, result):
@@ -68,19 +68,16 @@ class TestBuild:
             build_book([], max_depth=0)
 
     def test_replay_failure_reported_with_source_game_index(self):
-        reports = []
         bad = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=7)
-        book = build_book([game(["d4"], "1-0"), bad], max_depth=4, on_error=reports.append)
-        assert book.games == 1
-        assert [(r.game_index, r.move_index) for r in reports] == [(7, 1)]
+        with pytest.raises(ReplayError) as err:
+            build_book([game(["d4"], "1-0"), bad], max_depth=4)
+        assert (err.value.report.game_index, err.value.report.move_index) == (7, 1)
 
     def test_illegal_token_past_depth_reported_and_not_recorded(self):
-        reports = []
         bad = GameRecord({}, ("e4", "e5", "Ke7"), "1-0", game_index=3)
-        book = build_book([bad, game(["d4"], "0-1")], max_depth=2, on_error=reports.append)
-        assert book.games == 1
-        assert list(book.positions) == [rules.position_key(rules.initial_position())]
-        assert [(r.game_index, r.move_index) for r in reports] == [(3, 2)]
+        with pytest.raises(ReplayError) as err:
+            build_book([bad, game(["d4"], "0-1")], max_depth=2)
+        assert (err.value.report.game_index, err.value.report.move_index) == (3, 2)
 
 
 class TestQuery:
@@ -143,6 +140,16 @@ class TestPersistence:
         import hashlib
         digest = hashlib.sha256(body.encode()).hexdigest()
         with pytest.raises(BookFormatError, match="line 4"):
+            load_book(io.StringIO(body + f"sha256 {digest}\n"))
+
+    @pytest.mark.parametrize("mv", ["mv e4 0 0 0 0", "mv e4 1 2 0 -1"])
+    def test_unplayed_or_negative_counts_rejected(self, mv):
+        # checksummed, so only the count check can refuse them
+        body = ("openbook-diff v1\nmeta source=s games=1 positions=1 depth=2\n"
+                f"pos {rules.position_key(rules.initial_position())}\n{mv}\n")
+        import hashlib
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        with pytest.raises(BookFormatError, match="line 4: bad counts"):
             load_book(io.StringIO(body + f"sha256 {digest}\n"))
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import openbook
 import refdata
+from oracles import jsd_entropy_form
 from openbook.book import ranked_from_counts
 from openbook.measures import (
     UndefinedMeasureError,
@@ -19,7 +20,6 @@ from openbook.measures import (
     expected_score,
     expected_score_row,
     footrule_sum,
-    jsd_entropy_form,
     jsd_similarity,
     m_measure,
     max_m,

@@ -117,14 +117,6 @@ def test_min_rating_filter():
     assert [g.moves for g in kept] == [("d4",)]
 
 
-def test_tag_predicate_filter():
-    games = [g for g in parse(SIMPLE) if isinstance(g, GameRecord)]
-    keep = GameFilter(tag_predicates=(lambda tags: tags.get("Event") == "t",))
-    drop = GameFilter(tag_predicates=(lambda tags: tags.get("Event") == "x",))
-    assert list(filter_games(games, keep)) == games
-    assert list(filter_games(games, drop)) == []
-
-
 def test_games_replay_cleanly(pb_mini_path):
     from openbook import rules
 

@@ -73,6 +73,11 @@ class TestFen:
         with pytest.raises(FenError, match="castling"):
             parse_fen("r3k2r/8/8/8/8/8/8/R3K2R w KKq - 0 1")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0668"])  # "²", Arabic-Indic 8
+    def test_non_ascii_digit_in_placement_rejected(self, digit):
+        with pytest.raises(FenError, match="placement character"):
+            parse_fen(f"4k3/{digit}/8/8/8/8/8/4K3 w - - 0 1")
+
     def test_occupied_ep_square_rejected(self):
         with pytest.raises(FenError, match="occupied"):
             parse_fen("rnbqkbnr/ppp1pppp/8/8/3pP3/4N3/PPPP1PPP/RNBQK2R b KQkq e3 0 1")

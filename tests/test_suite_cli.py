@@ -44,6 +44,12 @@ class TestEpdSuite:
             parse_epd_suite(['4k3/8/8/8/8/8/8/4K3 w - - id "a";',
                              '4k3/8/8/8/8/8/8/4K3 b - - id "a";'])
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        suite_file = tmp_path / "suite.epd"
+        suite_file.write_bytes(b"\xff\xfe4k3/8/8/8/8/8/8/4K3 w - -\n")
+        with pytest.raises(SuiteError, match="UTF-8"):
+            parse_epd_suite(str(suite_file))
+
     def test_sample_suite_loads(self, sample_epd_path):
         entries = parse_epd_suite(sample_epd_path)
         assert entries[0].position_id == "26"
@@ -102,6 +108,29 @@ class TestCliBuild:
         assert list(book.positions) == [rules.position_key(rules.parse_fen(fen))]
         assert list(book.positions[rules.position_key(rules.parse_fen(fen))]) == ["Ra8#"]
 
+
+    def test_non_ascii_digit_in_fen_tag_skips_only_that_game(self, tmp_path, capsys):
+        pgn = tmp_path / "fen.pgn"
+        pgn.write_text('[FEN "4k3/8/8/8/8/8/8/4K\u00b21 w - - 0 1"]\n[Result "1-0"]\n\n'
+                       '1. Kd2 1-0\n\n[Result "0-1"]\n\n1. e4 0-1\n', encoding="utf-8")
+        out = tmp_path / "o.book"
+        assert main(["build", "--pgn", str(pgn), "--out", str(out)]) == 0
+        assert "skipped game 1: bad FEN tag" in capsys.readouterr().err
+        from openbook.book import load_book
+        book = load_book(str(out))
+        assert book.games == 1
+        assert list(book.positions) == [rules.position_key(rules.initial_position())]
+        assert main(["query", "--book", str(out), "--fen",
+                     "4k3/8/8/8/8/8/8/4K\u00b21 w - - 0 1"]) == 2
+
+    @pytest.mark.parametrize("depth", ["0", "-3", "abc"])
+    def test_bad_depth_is_usage_error(self, depth, pb_mini_path, tmp_path, capsys):
+        out = tmp_path / "o.book"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--pgn", pb_mini_path, "--depth", depth, "--out", str(out)])
+        assert err.value.code == 1
+        assert "--depth" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_every_parsed_ply_resolved_once(self, tmp_path, monkeypatch, capsys):
         rng = random.Random(3)
@@ -243,6 +272,25 @@ class TestCliCompare:
         unbooked = [r for r in rows if r.position_id == "unbooked"][0]
         assert unbooked.m_measure is None and unbooked.jsd is None
         assert metadata["undefined_cells"] != "0"
+
+    @pytest.mark.parametrize("precision", ["abc", "-1", "2.5"])
+    def test_bad_precision_is_usage_error(self, precision, built_books, suite3_path,
+                                          tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        with pytest.raises(SystemExit) as err:
+            self.run_compare(built_books, suite3_path, tmp_path,
+                             extra=("--precision", precision))
+        assert err.value.code == 1
+        assert "--precision" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_non_utf8_suite_is_data_error(self, built_books, tmp_path, capsys):
+        suite_file = tmp_path / "suite.epd"
+        suite_file.write_bytes(b"\xff\xfe4k3/8/8/8/8/8/8/4K3 w - -\n")
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", str(suite_file), "--out", str(tmp_path / "r")]) == 2
+        assert "bad suite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_tsv_self_consistency_round_trip(self, built_books, suite3_path, tmp_path):
         out_dir = self.run_compare(built_books, suite3_path, tmp_path,
