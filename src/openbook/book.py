@@ -21,7 +21,7 @@ from .pgn import GameRecord, start_position
 
 FORMAT_HEADER = "openbook-diff v1"
 
-_META_RE = re.compile(r"meta source=(.*) games=(\d+) positions=(\d+) depth=(\d+)")
+_META_RE = re.compile(r"meta source=(.*) games=([0-9]+) positions=([0-9]+) depth=([0-9]+)")
 
 
 class BookFormatError(ValueError):
@@ -66,10 +66,14 @@ class Book:
         return len(self.positions)
 
 
+def _by_rank(stats: MoveStats) -> tuple:
+    """Sort key of a position's moves: most games first, ties by SAN."""
+    return -stats.games, stats.san
+
+
 def _rank_entries(stats: Iterable[MoveStats]) -> List[RankedMove]:
-    ordered = sorted(stats, key=lambda s: (-s.games, s.san))
     return [RankedMove(i + 1, s.san, s.games, s.score_percent)
-            for i, s in enumerate(ordered)]
+            for i, s in enumerate(sorted(stats, key=_by_rank))]
 
 
 def ranked_from_counts(counts) -> List[RankedMove]:
@@ -166,10 +170,8 @@ def _serialize(book: Book) -> str:
              f"positions={book.position_count} depth={book.depth}"]
     for key in sorted(book.positions):
         lines.append(f"pos {key}")
-        for entry in _rank_entries(book.positions[key].values()):
-            stats = book.positions[key][entry.san]
-            lines.append(f"mv {stats.san} {stats.games} {stats.white_wins} "
-                         f"{stats.draws} {stats.black_wins}")
+        for s in sorted(book.positions[key].values(), key=_by_rank):
+            lines.append(f"mv {s.san} {s.games} {s.white_wins} {s.draws} {s.black_wins}")
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return body + f"sha256 {digest}\n"
@@ -235,6 +237,9 @@ def load_book(source) -> Book:
     meta = _META_RE.fullmatch(lines[1])
     if not meta:
         raise BookFormatError(f"line 2: bad meta line {lines[1]!r}")
+    # keys, SANs and counts are ASCII; only the source may be other text
+    if not text[len(lines[0]) + len(lines[1]) + 2:].isascii():
+        raise BookFormatError("non-ASCII text after line 2")
     source_text, games, position_count, depth = meta.groups()
     book = Book(depth=int(depth), source=source_text, games=int(games))
     current: Optional[dict] = None

@@ -31,12 +31,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-# argparse turns a ValueError from int() into "invalid ... value"
-def _depth(text: str) -> int:
-    depth = int(text)
-    if depth < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
-    return depth
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
+        return value
+    # argparse turns a ValueError from int() into "invalid <__name__> value"
+    parse.__name__ = "int"
+    return parse
 
 
 def _precision(text: str) -> str:
@@ -163,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_build = sub.add_parser("build", help="build a book from PGN files")
     p_build.add_argument("--pgn", nargs="+", action="extend", required=True)
-    p_build.add_argument("--depth", type=_depth, default=40,
+    p_build.add_argument("--depth", type=_at_least(1), default=40,
                          help="maximum plies recorded per game")
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--min-rating", type=int, default=None)
@@ -179,15 +183,15 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_query.add_mutually_exclusive_group(required=True)
     group.add_argument("--fen")
     group.add_argument("--epd")
-    p_query.add_argument("--min-games", type=int, default=0)
+    p_query.add_argument("--min-games", type=_at_least(0), default=0)
     p_query.set_defaults(func=cmd_query)
 
     p_compare = sub.add_parser("compare", help="compare two books over a suite")
     p_compare.add_argument("--book1", required=True)
     p_compare.add_argument("--book2", required=True)
     p_compare.add_argument("--suite", required=True)
-    p_compare.add_argument("--min-games", type=int, default=10)
-    p_compare.add_argument("--bootstrap", type=int, default=10000)
+    p_compare.add_argument("--min-games", type=_at_least(0), default=10)
+    p_compare.add_argument("--bootstrap", type=_at_least(1), default=10000)
     p_compare.add_argument("--seed", type=int, default=0)
     p_compare.add_argument("--exclude", default="",
                            help="comma-separated position ids to exclude "

@@ -138,6 +138,8 @@ def _correlation_lines(doc: ReportDocument, precision: str) -> List[str]:
         if block.ci is not None:
             text += (f" ci95=[{_fmt(block.ci.lower, precision)},"
                      f"{_fmt(block.ci.upper, precision)}]")
+        else:
+            text += f" note={block.note}"
         lines.append(text)
     return lines
 

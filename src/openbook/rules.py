@@ -92,7 +92,8 @@ class Position(NamedTuple):
     ``board`` has 128 slots (0x88); ``castling`` is a subset of "KQkq" in
     that order; ``ep`` is the en-passant target square exactly as produced
     by the last double push (normalization to "only if capturable" happens
-    in emit_fen / position_key).
+    in emit_fen / position_key); ``kings`` holds the white and the black
+    king's square.
     """
 
     board: tuple
@@ -101,6 +102,7 @@ class Position(NamedTuple):
     ep: Optional[int]
     halfmove: int
     fullmove: int
+    kings: Tuple[int, int]
 
 
 def _attacked(board, sq: int, by_white: bool) -> bool:
@@ -128,13 +130,6 @@ def _attacked(board, sq: int, by_white: bool) -> bool:
                         return True
                     break
     return False
-
-
-def _find_king(board, color: str) -> int:
-    try:
-        return board.index("K" if color == WHITE else "k")
-    except ValueError:
-        raise ValueError(f"no {color} king on board") from None
 
 
 def _pinned_squares(board, king_sq: int, white: bool) -> set:
@@ -273,7 +268,7 @@ def legal_moves(p: Position) -> list:
     """All legal moves in ``p`` under FIDE rules."""
     board = list(p.board)
     white = p.turn == WHITE
-    king_sq = _find_king(board, p.turn)
+    king_sq = p.kings[0] if white else p.kings[1]
     in_check = _attacked(board, king_sq, not white)
     pinned = _pinned_squares(board, king_sq, white)
     out = [m for m in _pseudo_moves(p)
@@ -282,8 +277,18 @@ def legal_moves(p: Position) -> list:
     return out + _castles(p)
 
 
+def _has_legal_move(p: Position) -> bool:
+    """Whether the side to move, which must be in check, has a legal move:
+    castling never is one, so the first pseudo-move leaving the king safe decides."""
+    board = list(p.board)
+    white = p.turn == WHITE
+    king_sq = p.kings[0] if white else p.kings[1]
+    return any(_leaves_king_safe(board, m, white, king_sq) for m in _pseudo_moves(p))
+
+
 def is_check(p: Position) -> bool:
-    return _attacked(p.board, _find_king(p.board, p.turn), p.turn != WHITE)
+    white = p.turn == WHITE
+    return _attacked(p.board, p.kings[0] if white else p.kings[1], not white)
 
 
 def _apply(p: Position, m: Move) -> Position:
@@ -322,7 +327,10 @@ def _apply(p: Position, m: Move) -> Position:
         ep = (m.from_sq + m.to_sq) // 2
     halfmove = 0 if (pc in ("P", "p") or m.capture) else p.halfmove + 1
     fullmove = p.fullmove + (0 if white else 1)
-    return Position(tuple(board), BLACK if white else WHITE, rights, ep, halfmove, fullmove)
+    kings = ((m.to_sq, p.kings[1]) if pc == "K" else (p.kings[0], m.to_sq) if pc == "k"
+             else p.kings)
+    return Position(tuple(board), BLACK if white else WHITE, rights, ep, halfmove, fullmove,
+                    kings)
 
 
 def apply_move(p: Position, m: Move) -> Position:
@@ -345,7 +353,7 @@ def _canonical_ep(p: Position) -> Optional[int]:
 def normalize(p: Position) -> Position:
     """Drop a meaningless en-passant target (no legal capture onto it)."""
     if _canonical_ep(p) != p.ep:
-        return Position(p.board, p.turn, p.castling, None, p.halfmove, p.fullmove)
+        return p._replace(ep=None)
     return p
 
 
@@ -420,35 +428,41 @@ def parse_fen(text: str) -> Position:
         if board[ep] is not None:
             raise FenError(f"en-passant square {ep_field!r} is occupied")
 
-    try:
-        halfmove = int(half_field)
-        fullmove = int(full_field)
-    except ValueError as exc:
-        raise FenError(f"bad clock fields: {half_field!r} {full_field!r}") from exc
-    if halfmove < 0 or fullmove < 1:
+    # not int(), which takes "+1", "1_0" and "١"
+    if not all(field.isascii() and field.isdigit() for field in (half_field, full_field)):
+        raise FenError(f"bad clock fields: {half_field!r} {full_field!r}")
+    halfmove = int(half_field)
+    fullmove = int(full_field)
+    if fullmove < 1:
         raise FenError(f"bad clock values: {halfmove} {fullmove}")
 
-    p = Position(tuple(board), turn, rights, ep, halfmove, fullmove)
+    king_squares = (board.index("K"), board.index("k"))
     # the side that just moved may not be left in check
-    opponent = BLACK if turn == WHITE else WHITE
-    if _attacked(p.board, _find_king(p.board, opponent), turn == WHITE):
+    if _attacked(board, king_squares[1 if turn == WHITE else 0], turn == WHITE):
         raise FenError(f"side not to move is in check: {text!r}")
-    return p
+    return Position(tuple(board), turn, rights, ep, halfmove, fullmove, king_squares)
 
 
-# board squares in FEN placement order: rank 8 down to rank 1, a-file first
-_FEN_SQUARES = tuple(s + f for s in range(112, -1, -16) for f in range(8))
 # runs of empty squares, longest first, so each run collapses to one digit
 _EMPTY_RUNS = tuple(("1" * n, str(n)) for n in range(8, 1, -1))
+
+RANK_TEXT_CACHE_SIZE = 4096  # distinct ranks whose FEN text _rank_text keeps
+
+
+@functools.lru_cache(maxsize=RANK_TEXT_CACHE_SIZE)
+def _rank_text(cells: tuple) -> str:
+    """The FEN placement text of one rank's 8 board slots, a-file first."""
+    text = "".join([pc or "1" for pc in cells])
+    for run, digit in _EMPTY_RUNS:
+        text = text.replace(run, digit)
+    return text
 
 
 def position_key(p: Position) -> str:
     """Canonical transposition key: 4-field FEN with normalized en passant."""
     board = p.board
-    cells = "".join([board[s] or "1" for s in _FEN_SQUARES])
-    placement = "/".join([cells[i:i + 8] for i in range(0, 64, 8)])
-    for run, digit in _EMPTY_RUNS:
-        placement = placement.replace(run, digit)
+    # rank 8 down to rank 1; ranks repeat far more often than placements
+    placement = "/".join([_rank_text(board[s:s + 8]) for s in range(112, -1, -16)])
     ep = _canonical_ep(p)
     return (f"{placement} {p.turn} {p.castling or '-'} "
             f"{square_name(ep) if ep is not None else '-'}")
@@ -532,7 +546,7 @@ def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
     if not moves:
         return moves
     scratch = list(board)
-    king_sq = _find_king(scratch, p.turn)
+    king_sq = p.kings[0] if white else p.kings[1]
     return [m for m in moves if _leaves_king_safe(scratch, m, white, king_sq)]
 
 
@@ -584,7 +598,7 @@ def _san(p: Position, m: Move, pool: list, successor: Position) -> str:
                     disambig = square_name(m.from_sq)
             body = piece + disambig + ("x" if m.capture else "") + to_name
     if is_check(successor):
-        body += "#" if not legal_moves(successor) else "+"
+        body += "+" if _has_legal_move(successor) else "#"
     return body
 
 

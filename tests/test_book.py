@@ -152,6 +152,22 @@ class TestPersistence:
         with pytest.raises(BookFormatError, match="line 4: bad counts"):
             load_book(io.StringIO(body + f"sha256 {digest}\n"))
 
+    @pytest.mark.parametrize("games, mv, message", [
+        ("\u0661", "mv e4 1 1 0 0", "line 2: bad meta line"),
+        ("1", "mv e4 \u0661 \u0661 0 0", "non-ASCII text after line 2"),
+    ])
+    def test_non_ascii_digits_rejected(self, games, mv, message):
+        # "١" is an Arabic-Indic 1, which int() and re's \d accept
+        body = (f"openbook-diff v1\nmeta source=caf\u00e9 games={games} positions=1 depth=2\n"
+                f"pos {rules.position_key(rules.initial_position())}\n{mv}\n")
+        import hashlib
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        with pytest.raises(BookFormatError, match=message):
+            load_book(io.StringIO(body + f"sha256 {digest}\n"))
+        # the same book with ASCII digits loads, non-ASCII source and all
+        ascii_body = body.replace("\u0661", "1")
+        digest = hashlib.sha256(ascii_body.encode()).hexdigest()
+        assert load_book(io.StringIO(ascii_body + f"sha256 {digest}\n")).source == "caf\u00e9"
 
     def test_non_utf8_file_rejected(self):
         buffer = io.BytesIO()

@@ -78,6 +78,13 @@ class TestFen:
         with pytest.raises(FenError, match="placement character"):
             parse_fen(f"4k3/{digit}/8/8/8/8/8/4K3 w - - 0 1")
 
+    # Arabic-Indic "0 12", a superscript, a sign and a digit separator,
+    # which int() reads as 0 12, fails on, 0 and 10
+    @pytest.mark.parametrize("clocks", ["\u0660 \u0661\u0662", "0 \u00b9", "+0 1", "0 1_0"])
+    def test_clock_fields_must_be_ascii_digits(self, clocks):
+        with pytest.raises(FenError, match="bad clock fields"):
+            parse_fen(f"4k3/8/8/8/8/8/8/4K3 w - - {clocks}")
+
     def test_occupied_ep_square_rejected(self):
         with pytest.raises(FenError, match="occupied"):
             parse_fen("rnbqkbnr/ppp1pppp/8/8/3pP3/4N3/PPPP1PPP/RNBQK2R b KQkq e3 0 1")
@@ -103,9 +110,13 @@ class TestLegalMoves:
         assert not rules.is_check(p)
 
     def test_checkmate_has_none_and_is_check(self):
-        p = parse_fen("7k/6Q1/6K1/8/8/8/8/8 b - - 0 1")
-        assert legal_moves(p) == []
-        assert rules.is_check(p)
+        # queen mate, back-rank mate, fool's mate
+        for fen in ("7k/6Q1/6K1/8/8/8/8/8 b - - 0 1", "R5k1/5ppp/8/8/8/8/8/6K1 b - - 1 1",
+                    "rnb1kbnr/pppp1ppp/8/4p3/6Pq/5P2/PPPPP2P/RNBQKBNR w KQkq - 1 3"):
+            p = parse_fen(fen)
+            assert legal_moves(p) == []
+            assert rules.is_check(p)
+            assert not rules._has_legal_move(p)
 
     def test_pinned_piece_cannot_expose_king(self):
         # the e-file knight is pinned by the rook
@@ -398,6 +409,7 @@ KEY_POSITIONS = [
 def test_position_key_matches_brute_force():
     rng = random.Random(11)
     ep_shown = []
+    checks = 0
     for fen, ep in KEY_POSITIONS:
         assert position_key(parse_fen(fen)).split()[3] == ep
         for _ in range(30):
@@ -408,7 +420,11 @@ def test_position_key_matches_brute_force():
                 assert emit_fen(p) == f"{key} {p.halfmove} {p.fullmove}"
                 if p.ep is not None:
                     ep_shown.append(key.split()[3] != "-")
+                assert p.kings == (p.board.index("K"), p.board.index("k"))
                 moves = legal_moves(p)
+                if rules.is_check(p):
+                    checks += 1
+                    assert rules._has_legal_move(p) == bool(moves)
                 if not moves:
                     break
                 # favour double pushes and en passant so both outcomes occur often
@@ -417,6 +433,7 @@ def test_position_key_matches_brute_force():
                 p = rules._apply(p, rng.choice(jumps if jumps and rng.random() < 0.5
                                                else moves))
     assert ep_shown.count(True) > 100 and ep_shown.count(False) > 100
+    assert checks > 100
 
 
 def oracle_attacked(p, sq, by_white):
@@ -424,8 +441,9 @@ def oracle_attacked(p, sq, by_white):
     pseudo-legal capture of the given colour land there?"""
     board = list(p.board)
     board[sq] = "n" if by_white else "N"
+    # pseudo-move generation does not read the king squares
     q = rules.Position(tuple(board), rules.WHITE if by_white else rules.BLACK,
-                       "", None, 0, 1)
+                       "", None, 0, 1, p.kings)
     return any(m.to_sq == sq and m.capture for m in rules._pseudo_moves(q))
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import stat
 import subprocess
 import sys
@@ -211,6 +212,12 @@ class TestCliQuery:
                      "--epd", 'rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";']) == 0
         assert "e4" in capsys.readouterr().out
 
+    def test_negative_min_games_is_usage_error(self, built_books, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["query", "--book", built_books[0], "--fen", rules.START_FEN,
+                  "--min-games", "-1"])
+        assert err.value.code == 1
+        assert "--min-games" in capsys.readouterr().err
 
     def test_non_utf8_book_is_data_error(self, tmp_path, suite3_path, capsys):
         bad = tmp_path / "bad.book"
@@ -283,6 +290,26 @@ class TestCliCompare:
         assert err.value.code == 1
         assert "--precision" in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag, value", [("--min-games", "-5"), ("--bootstrap", "0"),
+                                             ("--bootstrap", "-3")])
+    def test_count_below_its_bound_is_usage_error(self, flag, value, built_books,
+                                                   suite3_path, tmp_path, capsys):
+        out_dir = tmp_path / "report"
+        with pytest.raises(SystemExit) as err:
+            self.run_compare(built_books, suite3_path, tmp_path, extra=(flag, value))
+        assert err.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_undefined_ci_line_gives_its_reason(self, built_books, suite3_path, tmp_path):
+        out_dir = self.run_compare(built_books, suite3_path, tmp_path,
+                                   extra=("--bootstrap", "5"))
+        with open(os.path.join(out_dir, "comparison.tsv")) as handle:
+            lines = [line for line in handle if line.startswith("# pearson_full=")]
+        assert len(lines) == 1
+        assert re.fullmatch(r"# pearson_full=-?[0-9.]+ n=3 "
+                            r"note=need at least 1000 resamples, got 5\n", lines[0])
 
     def test_non_utf8_suite_is_data_error(self, built_books, tmp_path, capsys):
         suite_file = tmp_path / "suite.epd"
