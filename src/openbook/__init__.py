@@ -1,6 +1,6 @@
 """Chess opening-book construction and similarity analysis."""
 
-from .book import Book, MoveStats, RankedMove, build_book, load_book, merge_books, query, ranked_from_counts, save_book
+from .book import Book, MoveStats, RankedMove, build_book, load_book, merge_books, query, save_book
 from .measures import (
     ComparisonRow,
     ExpectedScoreRow,

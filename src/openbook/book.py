@@ -12,16 +12,23 @@ import hashlib
 import io
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
-from typing import Iterable, List, NamedTuple, Optional
+from typing import Iterable, List, NamedTuple
 
 from . import rules
 from .pgn import GameRecord, start_position
 
 FORMAT_HEADER = "openbook-diff v1"
 
-_META_RE = re.compile(r"meta source=(.*) games=([0-9]+) positions=([0-9]+) depth=([0-9]+)")
+_COUNT = "(?:0|[1-9][0-9]*)"  # an integer as str() writes it
+_META_RE = re.compile(
+    f"meta source=(.*) games=({_COUNT}) positions=({_COUNT}) depth=({_COUNT})")
+# what _serialize writes after the meta line: ``pos`` lines, each followed
+# by its ``mv`` lines. A match stops at the start of the first line that
+# breaks this form.
+_BODY_RE = re.compile(
+    f"(?:pos [ -~]+\n(?:mv [!-~]+ [1-9][0-9]* {_COUNT} {_COUNT} {_COUNT}\n)*)*")
+_MATCH_SLICE = 32768  # characters of a book matched at a time, at least
 
 
 class BookFormatError(ValueError):
@@ -76,21 +83,9 @@ def _rank_entries(stats: Iterable[MoveStats]) -> List[RankedMove]:
             for i, s in enumerate(sorted(stats, key=_by_rank))]
 
 
-def ranked_from_counts(counts) -> List[RankedMove]:
-    """Build a ranked list straight from (san, games) pairs or a dict.
-
-    Result tallies are unknown, so score_percent is 0. Useful for feeding
-    externally collected count tables into the measures.
-    """
-    items = counts.items() if hasattr(counts, "items") else counts
-    ordered = sorted(items, key=lambda kv: (-kv[1], kv[0]))
-    return [RankedMove(i + 1, san, games, 0.0)
-            for i, (san, games) in enumerate(ordered)]
-
-
-def query(book: Book, position: rules.Position) -> List[RankedMove]:
-    """Ranked moves for a position; empty if the position is not booked."""
-    stats = book.positions.get(rules.position_key(position))
+def query(book: Book, key: str) -> List[RankedMove]:
+    """Ranked moves at a position key (``rules.position_key``); empty if not booked."""
+    stats = book.positions.get(key)
     if not stats:
         return []
     return _rank_entries(stats.values())
@@ -178,13 +173,15 @@ def _serialize(book: Book) -> str:
 
 
 def write_atomic(path: str, text: str) -> None:
-    """Write UTF-8 text via a temp file and rename, so partial output never lands."""
+    """Write UTF-8 text via a temp file and rename, so partial output never lands.
+
+    The temp file is created with mode 0666, which the kernel lessens by the
+    umask, so the output gets the mode of any newly created file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".openbook-")
+    tmp_path = os.path.join(directory, f".openbook-{os.getpid()}-{os.urandom(6).hex()}")
+    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)  # give the file open()'s mode, not mkstemp's 0o600
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
         os.replace(tmp_path, path)
@@ -205,8 +202,40 @@ def save_book(book: Book, sink) -> None:
         sink.write(text.encode("utf-8"))
 
 
-def load_book(source) -> Book:
-    """Read and verify a book file written by save_book."""
+def _line_error(number: int, line: str, after_pos: bool) -> BookFormatError:
+    """The error for the first line after the meta line that _BODY_RE refuses."""
+    if line.startswith("pos "):
+        return BookFormatError(f"line {number}: bad pos line {line!r}")
+    if not line.startswith("mv "):
+        return BookFormatError(f"line {number}: unexpected line {line!r}")
+    if not after_pos:
+        return BookFormatError(f"line {number}: mv line before any pos line")
+    parts = line.split(" ")
+    if len(parts) != 6 or "" in parts or not all(part.isprintable() for part in parts):
+        return BookFormatError(f"line {number}: bad mv line {line!r}")
+    try:
+        games, wins, draws, losses = (int(x) for x in parts[2:])
+    except ValueError:
+        return BookFormatError(f"line {number}: non-integer counts in {line!r}")
+    if games != wins + draws + losses or min(wins, draws, losses) < 0 or games < 1:
+        return BookFormatError(f"line {number}: bad counts in {line!r}")
+    return BookFormatError(f"line {number}: non-canonical counts in {line!r}")
+
+
+def load_book(source, keys=None) -> Book:
+    """Read and verify a book file written by save_book.
+
+    Every check runs over the whole file, whatever ``keys`` is: the
+    checksum, the header and meta lines, that every later line has the
+    exact form save_book writes (canonical integers, single spaces, games
+    >= 1, positions and moves in save_book's order, each once), that each
+    move's results add up to its games, and the meta position count.
+
+    With ``keys``, a collection of position keys, only the positions among
+    them are built: the result is a read-only view for ``query``, whose
+    ``positions`` and ``position_count`` cover just those positions. Do
+    not save, merge or change it.
+    """
     if isinstance(source, str):
         with open(source, "rb") as handle:
             raw = handle.read()
@@ -228,47 +257,67 @@ def load_book(source) -> Book:
     checksum_line = lines[-1]
     if not checksum_line.startswith("sha256 "):
         raise BookFormatError(f"line {len(lines)}: missing checksum line")
-    body = "\n".join(lines[:-1]) + "\n"
-    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    end = len(text) - len(checksum_line) - (1 if text.endswith("\n") else 0)
+    digest = hashlib.sha256(text[:end].encode("utf-8")).hexdigest()
     if checksum_line != f"sha256 {digest}":
         raise BookFormatError(f"line {len(lines)}: checksum mismatch")
+    if not text.endswith("\n"):
+        raise BookFormatError(f"line {len(lines)}: no line break at the end")
     if lines[0] != FORMAT_HEADER:
         raise BookFormatError(f"line 1: bad header {lines[0]!r}")
     meta = _META_RE.fullmatch(lines[1])
     if not meta:
         raise BookFormatError(f"line 2: bad meta line {lines[1]!r}")
+    start = len(lines[0]) + len(lines[1]) + 2
     # keys, SANs and counts are ASCII; only the source may be other text
-    if not text[len(lines[0]) + len(lines[1]) + 2:].isascii():
+    if not text[start:].isascii():
         raise BookFormatError("non-ASCII text after line 2")
     source_text, games, position_count, depth = meta.groups()
     book = Book(depth=int(depth), source=source_text, games=int(games))
-    current: Optional[dict] = None
-    for number, line in enumerate(lines[2:-1], start=3):
-        if line.startswith("pos "):
-            key = line[4:]
-            if key in book.positions:
-                raise BookFormatError(f"line {number}: duplicate position {key!r}")
-            current = book.positions.setdefault(key, {})
-        elif line.startswith("mv "):
-            if current is None:
-                raise BookFormatError(f"line {number}: mv line before any pos line")
-            parts = line.split()
-            if len(parts) != 6:
-                raise BookFormatError(f"line {number}: bad mv line {line!r}")
-            san = parts[1]
-            try:
-                games_n, wins, draws, losses = (int(x) for x in parts[2:])
-            except ValueError:
-                raise BookFormatError(f"line {number}: non-integer counts in {line!r}")
-            # save_book writes only moves played at least once
-            if games_n != wins + draws + losses or min(wins, draws, losses) < 0 or games_n < 1:
-                raise BookFormatError(f"line {number}: bad counts in {line!r}")
-            if san in current:
-                raise BookFormatError(f"line {number}: duplicate move {san!r}")
-            current[san] = MoveStats(san, games_n, wins, draws, losses)
-        else:
-            raise BookFormatError(f"line {number}: unexpected line {line!r}")
-    if book.position_count != int(position_count):
-        raise BookFormatError(
-            f"meta positions={position_count} but file has {book.position_count}")
+    # match a slice at a time, each starting at a pos line, so the
+    # matcher's backtracking stack stays small; stop at the first slice
+    # that does not match to its end
+    stop = cut = start
+    while stop == cut < end:
+        cut = text.find("\npos ", stop + _MATCH_SLICE, end) + 1 or end
+        stop = _BODY_RE.match(text, stop, cut).end()
+    matched = text.count("\n", start, stop)
+    # the lines up to ``stop`` have save_book's form; what is left to check
+    # is their order, duplicates and sums
+    positions = book.positions
+    count = 0
+    key = moves = seen = last_games = last_san = None
+    for number, line in enumerate(lines[2:2 + matched], start=3):
+        if line[0] == "p":
+            previous, key = key, line[4:]
+            if count and key <= previous:
+                raise BookFormatError(f"line {number}: duplicate position {key!r}"
+                                      if key == previous else
+                                      f"line {number}: position {key!r} out of order")
+            count += 1
+            if keys is None or key in keys:
+                moves = positions[key] = {}
+            else:
+                moves = None
+            seen = set()
+            last_games = None
+            continue
+        _, san, games_n, wins, draws, losses = line.split(" ")
+        games_n, wins, draws, losses = int(games_n), int(wins), int(draws), int(losses)
+        if games_n != wins + draws + losses:
+            raise BookFormatError(f"line {number}: bad counts in {line!r}")
+        if san in seen:
+            raise BookFormatError(f"line {number}: duplicate move {san!r}")
+        seen.add(san)
+        # save_book writes the most played moves first, ties by SAN
+        if last_games is not None and (games_n > last_games or
+                                       games_n == last_games and san < last_san):
+            raise BookFormatError(f"line {number}: move {san!r} out of order")
+        last_games, last_san = games_n, san
+        if moves is not None:
+            moves[san] = MoveStats(san, games_n, wins, draws, losses)
+    if stop != end:
+        raise _line_error(3 + matched, lines[2 + matched], count > 0)
+    if count != int(position_count):
+        raise BookFormatError(f"meta positions={position_count} but file has {count}")
     return book

@@ -49,9 +49,10 @@ def _precision(text: str) -> str:
     return text
 
 
-def _load_book(path: str) -> book_mod.Book:
+def _load_book(path: str, keys) -> book_mod.Book:
+    """The book at ``path``, checked whole but built only at ``keys``."""
     try:
-        return book_mod.load_book(path)
+        return book_mod.load_book(path, keys)
     except OSError as exc:
         raise DataError(f"cannot read book {path}: {exc}")
     except book_mod.BookFormatError as exc:
@@ -107,9 +108,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_query(args) -> int:
-    built = _load_book(args.book)
-    position = _parse_position(args)
-    ranked = [entry for entry in book_mod.query(built, position)
+    key = rules.position_key(_parse_position(args))
+    built = _load_book(args.book, {key})
+    ranked = [entry for entry in book_mod.query(built, key)
               if entry.games >= args.min_games]
     print("rank\tsan\tgames\tscore%")
     for entry in ranked:
@@ -118,14 +119,15 @@ def cmd_query(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    book1 = _load_book(args.book1)
-    book2 = _load_book(args.book2)
     try:
         suite = parse_epd_suite(args.suite)
     except OSError as exc:
         raise DataError(f"cannot read suite {args.suite}: {exc}")
     except SuiteError as exc:
         raise DataError(f"bad suite {args.suite}: {exc}")
+    keys = {entry.key for entry in suite}
+    book1 = _load_book(args.book1, keys)
+    book2 = _load_book(args.book2, keys)
     exclude = [x for x in (args.exclude or "").split(",") if x]
     doc = report.build_report(book1, book2, suite, min_games=args.min_games,
                               resamples=args.bootstrap, seed=args.seed,

@@ -64,12 +64,16 @@ def _correlate(label: str, sample: PairedSample, resamples: int,
 def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
                  min_games: int = 10, resamples: int = 10000, seed: int = 0,
                  exclude: Sequence[str] = ()) -> ReportDocument:
-    """Compare two books over a suite and correlate M with JSD."""
+    """Compare two books over a suite and correlate M with JSD.
+
+    The books need to hold only the suite's positions (``load_book`` with
+    ``keys``); their ``games`` and ``source`` go into the metadata.
+    """
     comparison_rows = []
     expected_rows = []
     for entry in suite:
-        ranked1 = query(book1, entry.position)
-        ranked2 = query(book2, entry.position)
+        ranked1 = query(book1, entry.key)
+        ranked2 = query(book2, entry.key)
         comparison_rows.append(measures.compare_position(
             entry.position_id, ranked1, ranked2, min_games))
         expected_rows.append(measures.expected_score_row(

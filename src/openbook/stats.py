@@ -17,7 +17,7 @@ from .measures import ComparisonRow
 
 RNG_ALGORITHM = "numpy-PCG64"
 STD_CONVENTION = "sample(n-1)"
-BOOTSTRAP_BLOCK_ROWS = 128  # resamples evaluated together
+BOOTSTRAP_BLOCK_ROWS = 64  # resamples evaluated together
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,6 +85,19 @@ def pearson(sample: PairedSample) -> float:
     return pearson_xy(np.array(sample.x), np.array(sample.y))
 
 
+def _pearson_rows(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Pearson of (x, y) over each row of resample indices, skipping constant ones."""
+    import numpy as np
+
+    xm = x[rows]
+    xm -= xm.mean(axis=1, keepdims=True)
+    ym = y[rows]
+    ym -= ym.mean(axis=1, keepdims=True)
+    denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
+    valid = denominator > 0.0
+    return (xm * ym).sum(axis=1)[valid] / denominator[valid]
+
+
 def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
                  seed: int = 0) -> BootstrapResult:
     """Percentile bootstrap of the Pearson correlation.
@@ -104,19 +117,15 @@ def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
     y = np.array(sample.y, dtype=float)
     estimate = pearson_xy(x, y)
     rng = np.random.Generator(np.random.PCG64(seed))
-    indices = rng.integers(0, n, size=(resamples, n))
-    # one block of resamples at a time bounds the working memory; each row
-    # is reduced on its own, so the values are a whole-matrix pass's
+    # one block of resamples at a time bounds the working memory. Drawing
+    # each block's indices in turn gives the same values, row for row, as
+    # one draw of the whole (resamples, n) matrix (TestBootstrapBits checks
+    # this), and each row is reduced on its own, so the values are a
+    # whole-matrix pass's
     blocks = []
     for start in range(0, resamples, BOOTSTRAP_BLOCK_ROWS):
-        rows = indices[start:start + BOOTSTRAP_BLOCK_ROWS]
-        xm = x[rows]
-        xm -= xm.mean(axis=1, keepdims=True)
-        ym = y[rows]
-        ym -= ym.mean(axis=1, keepdims=True)
-        denominator = np.sqrt((xm * xm).sum(axis=1) * (ym * ym).sum(axis=1))
-        valid = denominator > 0.0
-        blocks.append((xm * ym).sum(axis=1)[valid] / denominator[valid])
+        rows = min(BOOTSTRAP_BLOCK_ROWS, resamples - start)
+        blocks.append(_pearson_rows(x, y, rng.integers(0, n, size=(rows, n))))
     values = np.concatenate(blocks)
     if len(values) < resamples / 2:
         raise StatsError(

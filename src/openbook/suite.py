@@ -23,6 +23,7 @@ class SuiteEntry:
     position_id: str
     position: rules.Position
     side_to_move: str  # "w" or "b"
+    key: str  # rules.position_key(position), the book key it is looked up by
 
 
 _ID_RE = re.compile(r'\bid\s+(?:"([^"]*)"|(\S+?));')
@@ -58,7 +59,8 @@ def parse_epd_suite(source: Union[str, Iterable[str]]) -> List[SuiteEntry]:
         if position_id in seen_ids:
             raise SuiteError(f"line {number}: duplicate id {position_id!r}")
         seen_ids.add(position_id)
-        entries.append(SuiteEntry(position_id, position, position.turn))
+        entries.append(SuiteEntry(position_id, position, position.turn,
+                                  rules.position_key(position)))
     if not entries:
         raise SuiteError("empty suite")
     return entries

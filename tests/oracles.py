@@ -1,8 +1,22 @@
 """Reference implementations that tests compare the library against."""
 
 import math
+from typing import List
 
+from openbook.book import RankedMove
 from openbook.measures import MoveDistribution
+
+
+def ranked_from_counts(counts) -> List[RankedMove]:
+    """Build a ranked list straight from (san, games) pairs or a dict.
+
+    Result tallies are unknown, so score_percent is 0. Useful for feeding
+    externally collected count tables into the measures.
+    """
+    items = counts.items() if hasattr(counts, "items") else counts
+    ordered = sorted(items, key=lambda kv: (-kv[1], kv[0]))
+    return [RankedMove(i + 1, san, games, 0.0)
+            for i, (san, games) in enumerate(ordered)]
 
 
 def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:

@@ -11,9 +11,9 @@ import random
 import pytest
 
 import refdata
-from oracles import jsd_entropy_form
+from oracles import jsd_entropy_form, ranked_from_counts
 from openbook import rules
-from openbook.book import build_book, load_book, merge_books, ranked_from_counts, save_book
+from openbook.book import build_book, load_book, merge_books, save_book
 from openbook.cli import main
 from openbook.measures import (
     assign_reciprocal_ranks,

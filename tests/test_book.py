@@ -1,9 +1,12 @@
+import hashlib
 import io
 import os
 import random
 
 import pytest
 
+from oracles import ranked_from_counts
+from openbook import book as book_mod
 from openbook import rules
 from openbook.book import (
     Book,
@@ -14,14 +17,23 @@ from openbook.book import (
     load_book,
     merge_books,
     query,
-    ranked_from_counts,
     save_book,
 )
 from openbook.pgn import GameRecord, ReplayError
 
 
+START_KEY = rules.position_key(rules.initial_position())
+E4_KEY = rules.position_key(rules.parse_fen(
+    "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1"))
+
+
 def game(moves, result):
     return GameRecord({}, tuple(moves), result)
+
+
+def signed(body):
+    """Book text with a valid checksum line, so only later checks can refuse it."""
+    return body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
 
 
 def roundtrip(book):
@@ -33,7 +45,7 @@ def roundtrip(book):
 class TestBuild:
     def test_direct_counts_and_score(self):
         book = build_book([game(["e4"], "1-0"), game(["e4"], "1/2-1/2")], max_depth=4)
-        ranked = query(book, rules.initial_position())
+        ranked = query(book, rules.position_key(rules.initial_position()))
         assert len(ranked) == 1
         assert ranked[0].san == "e4"
         assert ranked[0].games == 2
@@ -47,7 +59,7 @@ class TestBuild:
         p = rules.initial_position()
         for token in ["e4", "e5", "Nf3"]:
             p = rules._apply(p, rules.parse_san(p, token))
-        ranked = query(book, p)
+        ranked = query(book, rules.position_key(p))
         assert [(e.san, e.games) for e in ranked] == [("Nc6", 2)]
 
     def test_empty_input_gives_empty_book(self):
@@ -83,18 +95,20 @@ class TestBuild:
 class TestQuery:
     def test_rank_order_follows_popularity(self):
         games = [game(["e4"], "1-0")] * 3 + [game(["d4"], "1-0")] * 5
-        ranked = query(build_book(games, max_depth=2), rules.initial_position())
+        ranked = query(build_book(games, max_depth=2),
+                       rules.position_key(rules.initial_position()))
         assert [(e.rank, e.san) for e in ranked] == [(1, "d4"), (2, "e4")]
 
     def test_tie_breaks_lexicographically(self):
         games = [game(["e4"], "1-0"), game(["d4"], "1-0"), game(["c4"], "1-0")]
-        ranked = query(build_book(games, max_depth=2), rules.initial_position())
+        ranked = query(build_book(games, max_depth=2),
+                       rules.position_key(rules.initial_position()))
         assert [e.san for e in ranked] == ["c4", "d4", "e4"]
 
     def test_absent_position_gives_empty_list(self):
         book = build_book([game(["e4"], "1-0")], max_depth=2)
         absent = rules.parse_fen("4k3/8/8/8/8/8/8/4K3 w - - 0 1")
-        assert query(book, absent) == []
+        assert query(book, rules.position_key(absent)) == []
 
     def test_ranked_from_counts_matches_query_ordering(self):
         ranked = ranked_from_counts({"e4": 3, "d4": 5, "c4": 3})
@@ -169,6 +183,21 @@ class TestPersistence:
         digest = hashlib.sha256(ascii_body.encode()).hexdigest()
         assert load_book(io.StringIO(ascii_body + f"sha256 {digest}\n")).source == "caf\u00e9"
 
+    @pytest.mark.parametrize("mv", ["mv e4 +1 1 0 0", "mv e4 0_1 1 0 0", "mv e4 01 1 0 0",
+                                    "mv e4  1 1 0 0", "mv e4\t1 1 0 0", "mv e4 1 1 0 0 "])
+    def test_counts_and_spacing_save_book_does_not_write_rejected(self, mv):
+        # each has counts that add up and would once load as 1/1/0/0, to be
+        # saved back as "mv e4 1 1 0 0"
+        body = ("openbook-diff v1\nmeta source=s games=1 positions=1 depth=2\n"
+                f"pos {START_KEY}\n{mv}\n")
+        with pytest.raises(BookFormatError, match="line 4: "):
+            load_book(io.StringIO(signed(body)))
+
+    def test_missing_final_line_break_rejected(self):
+        text = signed("openbook-diff v1\nmeta source=s games=0 positions=0 depth=2\n")
+        with pytest.raises(BookFormatError, match="line 3: no line break at the end"):
+            load_book(io.StringIO(text[:-1]))
+
     def test_non_utf8_file_rejected(self):
         buffer = io.BytesIO()
         save_book(self.build_sample(), buffer)
@@ -183,6 +212,14 @@ class TestPersistence:
             save_book(book, buffer)
         assert buffer.getvalue() == ""
 
+    def test_save_to_path_leaves_the_umask_alone(self, tmp_path, monkeypatch):
+        def umask(mask):
+            raise AssertionError("the process-wide umask was changed")
+        monkeypatch.setattr(os, "umask", umask)
+        path = tmp_path / "b.book"
+        save_book(self.build_sample(), str(path))
+        assert load_book(str(path)) == self.build_sample()
+        assert os.listdir(tmp_path) == ["b.book"]
 
     def test_save_to_path_replaces_the_file_whole_or_not_at_all(self, tmp_path, monkeypatch):
         path = tmp_path / "b.book"
@@ -200,6 +237,86 @@ class TestPersistence:
             save_book(build_book([], max_depth=4, source="other"), str(path))
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["b.book"]  # no temp file left behind
+
+
+# a two-position book; each case below breaks one line of it (or its meta
+# count), and the error must not depend on which positions are built
+FIRST, SECOND = sorted([START_KEY, E4_KEY])
+VIEW_LINES = ["openbook-diff v1", "meta source=s games=4 positions=2 depth=2",
+              f"pos {FIRST}", "mv e5 2 1 1 0", "mv c5 1 0 0 1",
+              f"pos {SECOND}", "mv e4 3 1 1 1", "mv d4 1 1 0 0"]
+MALFORMED = [
+    (7, "mv e4 +3 1 1 1", "line 7: non-canonical counts"),
+    (7, "mv e4 0_3 1 1 1", "line 7: non-canonical counts"),
+    (7, "mv e4 03 1 1 1", "line 7: non-canonical counts"),
+    (7, "mv e4  3 1 1 1", "line 7: bad mv line"),
+    (7, "mv e4\t3 1 1 1", "line 7: bad mv line"),
+    (7, "mv e4 3 1 1 1 ", "line 7: bad mv line"),
+    (7, "mv e4 3 1 1", "line 7: bad mv line"),
+    (7, "mv e4 x 1 1 1", "line 7: non-integer counts"),
+    (7, "mv e4 4 1 1 1", "line 7: bad counts"),
+    (7, "mv e4 0 0 0 0", "line 7: bad counts"),
+    (7, "mv e4 1 2 0 -1", "line 7: bad counts"),
+    (8, "mv e4 1 1 0 0", "line 8: duplicate move 'e4'"),
+    (8, "mv a4 3 1 1 1", "line 8: move 'a4' out of order"),
+    (8, "mv d4 4 1 1 2", "line 8: move 'd4' out of order"),
+    (6, f"pos {FIRST}", "line 6: duplicate position"),
+    (6, "pos 4k3/8/8/8/8/8/8/4K3 w - -",
+     "line 6: position '4k3/8/8/8/8/8/8/4K3 w - -' out of order"),
+    (6, "pos a\tb", "line 6: bad pos line"),
+    (6, "", "line 6: unexpected line"),
+    (3, "mv e5 1 1 0 0", "line 3: mv line before any pos line"),
+    (2, "meta source=s games=4 positions=3 depth=2", "meta positions=3 but file has 2"),
+]
+
+
+def view_book(edit=None):
+    lines = list(VIEW_LINES)
+    if edit is not None:
+        lines[edit[0] - 1] = edit[1]
+    return signed("\n".join(lines) + "\n")
+
+
+class TestKeys:
+    @pytest.mark.parametrize("number, line, message", MALFORMED)
+    def test_checks_do_not_depend_on_keys(self, number, line, message):
+        text = view_book((number, line))
+        away = SECOND if number <= 5 else FIRST
+        errors = set()
+        for keys in (None, set(), {away}):
+            with pytest.raises(BookFormatError) as err:
+                load_book(io.StringIO(text), keys)
+            errors.add(str(err.value))
+        assert len(errors) == 1
+        assert errors.pop().startswith(message)
+
+    def test_defects_found_on_both_sides_of_a_match_slice(self):
+        # the shape check matches about book._MATCH_SLICE characters at a
+        # time; lines just before, at and after a slice's start still count
+        lines = ["openbook-diff v1", "meta source=s games=1 positions=4000 depth=2"]
+        for i in range(4000):
+            lines += [f"pos k{i:05d}", "mv e4 1 1 0 0"]
+        text = "\n".join(lines) + "\n"
+        cut = text.find("\npos ", text.index("pos ") + book_mod._MATCH_SLICE) + 1
+        first = text.count("\n", 0, cut) + 1  # the number of a slice's first line
+        load_book(io.StringIO(signed(text)), set())
+        for number in [4, first - 2, first - 1, first, first + 1, len(lines)]:
+            for edit, message in (("junk", "unexpected line"), ("mv e4 2 1 0 0", "bad counts")):
+                broken = list(lines)
+                broken[number - 1] = edit
+                with pytest.raises(BookFormatError, match=f"^line {number}: {message}"):
+                    load_book(io.StringIO(signed("\n".join(broken) + "\n")), set())
+
+    def test_view_holds_only_the_requested_positions(self):
+        full = load_book(io.StringIO(view_book()))
+        assert sorted(full.positions) == [FIRST, SECOND]
+        for keys in (set(), {FIRST}, {SECOND}, {FIRST, SECOND, "absent"}):
+            view = load_book(io.StringIO(view_book()), keys)
+            assert (view.depth, view.source, view.games) == (full.depth, full.source, full.games)
+            assert view.positions == {k: full.positions[k] for k in keys if k in full.positions}
+            for key in (FIRST, SECOND):
+                assert query(view, key) == (query(full, key) if key in keys else [])
+
 
 class TestMerge:
     def test_merge_with_empty_is_identity(self):

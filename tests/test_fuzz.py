@@ -8,6 +8,7 @@ parser. Example counts are capped to keep the tier-1 run short.
 import hashlib
 import io
 import os
+import re
 import tempfile
 
 import pytest
@@ -100,6 +101,66 @@ def test_any_single_byte_change_to_a_book_is_rejected(index, delta):
     corrupted[index] = (corrupted[index] + delta) % 256
     with pytest.raises(BookFormatError):
         load_book(io.BytesIO(bytes(corrupted)))
+
+
+def _games_with(prefix):
+    """A line edit that writes a mv line's games count with ``prefix`` in front."""
+    return lambda line: re.sub(rb"^(mv \S+ )", lambda m: m.group(1) + prefix, line)
+
+
+# edits that turn save_book's text into text it never writes
+_EDITS = [
+    lambda line: line,
+    lambda line: line.replace(b" ", b"  ", 1),
+    lambda line: line.replace(b" ", b"\t", 1),
+    lambda line: line + b" ",
+    _games_with(b"+"),
+    _games_with(b"0"),
+    _games_with(b"0_"),
+    lambda line: line + b"\n" + line,
+]
+_SAN = st.sampled_from([b"e4", b"d4", b"e5", b"Nf3"])
+_RESULTS = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3)
+
+
+@st.composite
+def _drawn_books(draw):
+    """Book text near save_book's form: blocks in drawn or canonical order, one line edited."""
+    blocks = draw(st.dictionaries(st.sampled_from([START_KEY.encode(), E4_KEY.encode()]),
+                                  st.dictionaries(_SAN, _RESULTS, max_size=3), max_size=2))
+    canonical = draw(st.booleans())
+    items = sorted(blocks.items()) if canonical else list(blocks.items())
+    lines = []
+    for key, moves in items:
+        moves = [(san, sum(results), *results) for san, results in moves.items()]
+        if canonical:
+            moves.sort(key=lambda move: (-move[1], move[0]))
+        lines += [b"pos " + key] + [b"mv %s %d %d %d %d" % move for move in moves]
+    source = draw(st.sampled_from([b"s", "caf\u00e9".encode(), b"a games=1 positions=9 depth=1"]))
+    games = draw(st.integers(min_value=0, max_value=9))
+    positions = len(blocks) + draw(st.sampled_from([0, 0, 0, 1]))
+    depth = draw(st.integers(min_value=0, max_value=4))
+    lines[:0] = [b"openbook-diff v1", b"meta source=%s games=%d positions=%d depth=%d" % (
+        source, games, positions, depth)]
+    at = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+    lines[at] = draw(st.sampled_from(_EDITS))(lines[at])
+    return _signed(b"\n".join(lines) + b"\n")
+
+
+# a checksummed "mv e4 +1 0_1 0 0" once loaded as 1/1/0/0 and saved back as "mv e4 1 1 0 0"
+@settings(max_examples=300, deadline=None)
+@example(_signed(_book_text(b"openbook-diff v1", [[b"pos " + START_KEY.encode(),
+                                                   b"mv e4 +1 0_1 0 0"]], 1)))
+@example(SAVED_BOOK)
+@given(_drawn_books())
+def test_every_book_load_book_accepts_is_saved_back_byte_for_byte(data):
+    try:
+        book = load_book(io.BytesIO(data))
+    except BookFormatError:
+        return
+    saved = io.BytesIO()
+    save_book(book, saved)
+    assert saved.getvalue() == data
 
 
 def _exit_code(argv):

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 
 import openbook
 import refdata
-from oracles import jsd_entropy_form
-from openbook.book import ranked_from_counts
+from oracles import jsd_entropy_form, ranked_from_counts
 from openbook.measures import (
     UndefinedMeasureError,
     assign_reciprocal_ranks,

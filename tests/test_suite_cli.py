@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -7,6 +8,7 @@ import sys
 
 import pytest
 
+from openbook import book as book_mod
 from openbook import rules
 from openbook.cli import main
 from openbook.pgn import GameRecord, MalformedGame, parse_pgn_stream
@@ -189,6 +191,20 @@ class TestCliBuild:
         assert not out.exists()
 
 
+def break_counts_outside(path, suite_keys):
+    """Re-checksum the book at ``path`` with one count off in a position not in ``suite_keys``."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().split("\n")[:-2]
+    at = next(i for i, line in enumerate(lines)
+              if line.startswith("pos ") and line[4:] not in suite_keys) + 1
+    parts = lines[at].split(" ")
+    parts[2] = str(int(parts[2]) + 1)
+    lines[at] = " ".join(parts)
+    body = "\n".join(lines) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(body + f"sha256 {hashlib.sha256(body.encode()).hexdigest()}\n")
+
+
 class TestCliQuery:
     def test_query_matches_hand_tally(self, built_books, capsys):
         assert main(["query", "--book", built_books[0],
@@ -218,6 +234,28 @@ class TestCliQuery:
                   "--min-games", "-1"])
         assert err.value.code == 1
         assert "--min-games" in capsys.readouterr().err
+
+    def test_output_equals_a_full_loads(self, built_books, capsys, monkeypatch):
+        """query builds only its one position; what it prints must not change."""
+        def run(fen, min_games):
+            assert main(["query", "--book", built_books[0], "--fen", fen,
+                         "--min-games", min_games]) == 0
+            return capsys.readouterr().out
+
+        fens = [key + " 0 1" for key in sorted(book_mod.load_book(built_books[0]).positions)]
+        fens.append("4k3/8/8/8/8/8/8/4K3 w - - 0 1")
+        cases = [(fen, min_games) for fen in fens for min_games in ("0", "2")]
+        viewed = [run(*case) for case in cases]
+        full_load = book_mod.load_book
+        monkeypatch.setattr(book_mod, "load_book", lambda source, keys=None: full_load(source))
+        assert [run(*case) for case in cases] == viewed
+        assert viewed[cases.index((rules.START_FEN, "0"))].count("\n") == 11
+
+    def test_bad_count_outside_the_queried_position_is_data_error(self, built_books, capsys):
+        start_key = rules.position_key(rules.initial_position())
+        break_counts_outside(built_books[0], {start_key})
+        assert main(["query", "--book", built_books[0], "--fen", rules.START_FEN]) == 2
+        assert "bad counts" in capsys.readouterr().err
 
     def test_non_utf8_book_is_data_error(self, tmp_path, suite3_path, capsys):
         bad = tmp_path / "bad.book"
@@ -318,6 +356,25 @@ class TestCliCompare:
                      "--suite", str(suite_file), "--out", str(tmp_path / "r")]) == 2
         assert "bad suite" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
+
+    def test_defect_outside_the_suite_is_data_error(self, built_books, tmp_path, capsys):
+        suite = tmp_path / "start.epd"
+        suite.write_text(" ".join(rules.START_FEN.split()[:4]) + ' id "start";\n')
+        break_counts_outside(built_books[0], {rules.position_key(rules.initial_position())})
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", str(suite), "--min-games", "1", "--bootstrap", "1000",
+                     "--out", str(tmp_path / "r")]) == 2
+        assert "bad book file" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_bad_suite_reported_before_bad_books(self, tmp_path, capsys):
+        bad_book = tmp_path / "bad.book"
+        bad_book.write_text("not a book\n")
+        bad_suite = tmp_path / "bad.epd"
+        bad_suite.write_text("garbage\n")
+        assert main(["compare", "--book1", str(bad_book), "--book2", str(bad_book),
+                     "--suite", str(bad_suite), "--out", str(tmp_path / "r")]) == 2
+        assert "bad suite" in capsys.readouterr().err
 
     def test_tsv_self_consistency_round_trip(self, built_books, suite3_path, tmp_path):
         out_dir = self.run_compare(built_books, suite3_path, tmp_path,
