@@ -5,7 +5,6 @@ from .measures import (
     ComparisonRow,
     ExpectedScoreRow,
     UndefinedMeasureError,
-    assign_reciprocal_ranks,
     compare_position,
     expected_score,
     jsd_similarity,

@@ -12,7 +12,6 @@ import hashlib
 import io
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Iterable, List, NamedTuple
 
 from . import rules
@@ -59,14 +58,13 @@ class RankedMove(NamedTuple):
     score_percent: float
 
 
-@dataclass
-class Book:
+class Book(NamedTuple):
     """Per-position per-move statistics plus build metadata."""
 
     depth: int
-    source: str = ""
-    games: int = 0
-    positions: dict = field(default_factory=dict)  # key -> {san -> MoveStats}
+    source: str
+    games: int
+    positions: dict  # key -> {san -> MoveStats}
 
     @property
     def position_count(self) -> int:
@@ -273,7 +271,7 @@ def load_book(source, keys=None) -> Book:
     if not text[start:].isascii():
         raise BookFormatError("non-ASCII text after line 2")
     source_text, games, position_count, depth = meta.groups()
-    book = Book(depth=int(depth), source=source_text, games=int(games))
+    book = Book(depth=int(depth), source=source_text, games=int(games), positions={})
     # match a slice at a time, each starting at a pos line, so the
     # matcher's backtracking stack stays small; stop at the first slice
     # that does not match to its end

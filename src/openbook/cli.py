@@ -69,6 +69,15 @@ def _parse_position(args) -> rules.Position:
         raise DataError(str(exc))
 
 
+def _listed_ids(text: str, option: str, known: set, where: str) -> List[str]:
+    """The comma-separated ids of ``text``; DataError names those not in ``known``."""
+    ids = [x for x in text.split(",") if x]
+    unknown = [x for x in ids if x not in known]
+    if unknown:
+        raise DataError(f"{option} names no position of {where}: {', '.join(unknown)}")
+    return ids
+
+
 def _parsed_games(path: str, reports: List[MalformedGame]):
     """The games of one PGN file as they are parsed; reports go to ``reports``."""
     for item in parse_pgn_stream(path):
@@ -95,7 +104,7 @@ def cmd_build(args) -> int:
     if built is None:
         raise DataError("no PGN inputs")
     if args.source:
-        built.source = args.source
+        built = built._replace(source=args.source)
     try:
         book_mod.save_book(built, args.out)
     except book_mod.BookFormatError as exc:
@@ -125,10 +134,11 @@ def cmd_compare(args) -> int:
         raise DataError(f"cannot read suite {args.suite}: {exc}")
     except SuiteError as exc:
         raise DataError(f"bad suite {args.suite}: {exc}")
+    exclude = _listed_ids(args.exclude, "--exclude", {entry.position_id for entry in suite},
+                          f"suite {args.suite}")
     keys = {entry.key for entry in suite}
     book1 = _load_book(args.book1, keys)
     book2 = _load_book(args.book2, keys)
-    exclude = [x for x in (args.exclude or "").split(",") if x]
     doc = report.build_report(book1, book2, suite, min_games=args.min_games,
                               resamples=args.bootstrap, seed=args.seed,
                               exclude=exclude)
@@ -151,7 +161,8 @@ def cmd_plot(args) -> int:
         raise DataError(f"cannot read report {args.report}: {exc}")
     except ValueError as exc:
         raise DataError(str(exc))
-    marked = [x for x in (args.mark or "").split(",") if x]
+    marked = _listed_ids(args.mark, "--mark", {row.position_id for row in rows},
+                         f"report {args.report}")
     points = [(row.position_id, row.m_measure, row.jsd) for row in rows]
     try:
         svg = plot.scatter_svg(points, marked)

@@ -12,9 +12,7 @@ missing from a list of length k gets rank k + 1 before the reciprocal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .book import RankedMove
 
@@ -58,28 +56,12 @@ def _exact(a: RankedList, b: RankedList, k1: int, k2: int) -> Tuple[int, dict, i
     return den, pairs, bound
 
 
-def assign_reciprocal_ranks(a: RankedList, b: RankedList) -> Dict[str, Tuple[Fraction, Fraction]]:
-    """Reciprocal ranks over the union of moves, as exact rationals."""
-    den, pairs, _ = _exact(a, b, len(a), len(b))
-    return {san: (Fraction(na, den), Fraction(nb, den)) for san, (na, nb) in pairs.items()}
-
-
-def _max_m_fraction(k1: int, k2: int) -> Fraction:
-    den, _, bound = _exact((), (), k1, k2)
-    return Fraction(bound, den)
-
-
 def max_m(k1: int, k2: int) -> float:
     """Footrule sum of two fully disjoint lists: the measure's maximum."""
     if k1 == 0 and k2 == 0:
         raise UndefinedMeasureError("max_m undefined for two empty lists")
-    return float(_max_m_fraction(k1, k2))
-
-
-def footrule_sum(a: RankedList, b: RankedList) -> Fraction:
-    """Sum of absolute reciprocal-rank differences over the move union."""
-    den, pairs, _ = _exact(a, b, len(a), len(b))
-    return Fraction(sum(abs(na - nb) for na, nb in pairs.values()), den)
+    den, _, bound = _exact((), (), k1, k2)
+    return bound / den
 
 
 def _m_and_max(a: RankedList, b: RankedList) -> Tuple[float, float]:
@@ -96,7 +78,7 @@ def _m_and_max(a: RankedList, b: RankedList) -> Tuple[float, float]:
 
 
 def m_measure(a: RankedList, b: RankedList) -> float:
-    """1 − footrule_sum / max_m: reciprocal-rank similarity in [0, 1]."""
+    """1 − footrule / max_m: reciprocal-rank similarity in [0, 1]."""
     return _m_and_max(a, b)[0]
 
 
@@ -141,8 +123,7 @@ def expected_score(a: RankedList, min_games: int = 10) -> Tuple[float, int]:
     return 100.0 * points / total, total
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     """Per-position comparison output; None marks an undefined cell."""
 
     position_id: str
@@ -152,8 +133,7 @@ class ComparisonRow:
     overlap: Optional[float]
 
 
-@dataclass(frozen=True)
-class ExpectedScoreRow:
+class ExpectedScoreRow(NamedTuple):
     """Per-position expected score and surviving game count per book."""
 
     position_id: str

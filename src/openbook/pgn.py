@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import io
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
 from . import rules
 
@@ -23,22 +22,24 @@ _GLUED_NUMBER_RE = re.compile(r"^\d+\.+")
 _MOVETEXT_SPECIAL_RE = re.compile(r"[{}();]")
 
 
-@dataclass
-class GameRecord:
+class _GameFields(NamedTuple):
+    tags: dict
+    moves: Tuple[str, ...]
+    result: str  # one of RESULTS
+    game_index: int = 0  # 1-based position in its PGN source; 0 if built by hand
+
+
+class GameRecord(_GameFields):
     """One parsed game: tag pairs, mainline SAN tokens, result.
 
     ``line`` is the game replayed from its start position: per ply, the
     move and the pool ``rules._resolve`` returned with it (the legal moves
     of its piece type onto its target square), which is what canonical SAN
-    needs. It is computed on first use and kept; parse_pgn_stream uses it
-    to validate every record it yields.
+    needs. It is computed on first use and kept outside the tuple, so
+    equality ignores it; parse_pgn_stream uses it to validate every record.
     """
 
-    tags: dict
-    moves: Tuple[str, ...]
-    result: str  # one of RESULTS
-    game_index: int = 0  # 1-based position in its PGN source; 0 if built by hand
-    _line: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _line: Optional[tuple] = None
 
     @property
     def line(self) -> Tuple[Tuple[rules.Move, list], ...]:
@@ -54,15 +55,14 @@ class GameRecord:
             return None
 
 
-@dataclass
-class MalformedGame:
+class MalformedGame(NamedTuple):
     """Report for a game that could not be parsed or replayed."""
 
     game_index: int
     reason: str
+    tags: dict
     move_index: Optional[int] = None
     fen: Optional[str] = None
-    tags: dict = field(default_factory=dict)
 
 
 class ReplayError(ValueError):
@@ -73,8 +73,7 @@ class ReplayError(ValueError):
         self.report = report
 
 
-@dataclass
-class GameFilter:
+class GameFilter(NamedTuple):
     """Predicate bundle applied by filter_games.
 
     ``min_rating`` requires WhiteElo and BlackElo tags at or above the bound;

@@ -7,8 +7,7 @@ carry everything needed to reproduce a run bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import measures, stats
 from .book import Book, query
@@ -19,8 +18,7 @@ from .suite import SuiteEntry
 UNDEFINED = "undefined"
 
 
-@dataclass(frozen=True)
-class CorrelationBlock:
+class CorrelationBlock(NamedTuple):
     """Pearson M-vs-JSD with its bootstrap CI over one row subset."""
 
     label: str
@@ -30,15 +28,14 @@ class CorrelationBlock:
     note: str = ""
 
 
-@dataclass
-class ReportDocument:
+class ReportDocument(NamedTuple):
     comparison_rows: List[ComparisonRow]
     expected_rows: List[ExpectedScoreRow]
     comparison_summary: Dict[str, Optional[Tuple[float, float]]]
     expected_summary: Dict[str, Optional[Tuple[float, float]]]
     correlation_full: CorrelationBlock
     correlation_excluded: Optional[CorrelationBlock]
-    metadata: Dict[str, str] = field(default_factory=dict)
+    metadata: Dict[str, str]
 
 
 def _paired_sample(rows: Sequence[ComparisonRow]) -> PairedSample:

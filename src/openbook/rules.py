@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import re
-from itertools import takewhile
 from typing import NamedTuple, Optional, Tuple
 
 WHITE = "w"
@@ -34,16 +33,29 @@ def _rays(sq: int, dirs: tuple) -> tuple:
     square first; none from an off-board slot."""
     if sq & 0x88:
         return ()
-    rays = [tuple(takewhile(lambda s: not s & 0x88, range(sq + d, sq + 8 * d, d))) for d in dirs]
-    return tuple(ray for ray in rays if ray)
+    rays = []
+    for d in dirs:
+        ray = []
+        s = sq + d
+        while not s & 0x88:
+            ray.append(s)
+            s += d
+        if ray:
+            rays.append(tuple(ray))
+    return tuple(rays)
+
+
+def _steps(sq: int, offsets: tuple) -> tuple:
+    """The on-board squares one offset away from 0x88 square ``sq``; none off it."""
+    return () if sq & 0x88 else tuple(sq + d for d in offsets if not (sq + d) & 0x88)
 
 
 # indexed by 0x88 square and built once, so the attack, pin and origin walks
 # need no bounds tests
 _ROOK_RAYS = [_rays(sq, ROOK_DIRS) for sq in range(128)]
 _BISHOP_RAYS = [_rays(sq, BISHOP_DIRS) for sq in range(128)]
-_KNIGHT_STEPS = [tuple(ray[0] for ray in _rays(sq, KNIGHT_OFFSETS)) for sq in range(128)]
-_KING_STEPS = [tuple(ray[0] for ray in _rays(sq, KING_OFFSETS)) for sq in range(128)]
+_KNIGHT_STEPS = [_steps(sq, KNIGHT_OFFSETS) for sq in range(128)]
+_KING_STEPS = [_steps(sq, KING_OFFSETS) for sq in range(128)]
 
 A1, B1, C1, D1, E1, F1, G1, H1 = range(8)
 A8, B8, C8, D8, E8, F8, G8, H8 = range(112, 120)
@@ -348,13 +360,6 @@ def _canonical_ep(p: Position) -> Optional[int]:
     it are en-passant captures.
     """
     return p.ep if p.ep is not None and _origins(p, "P", p.ep, None) else None
-
-
-def normalize(p: Position) -> Position:
-    """Drop a meaningless en-passant target (no legal capture onto it)."""
-    if _canonical_ep(p) != p.ep:
-        return p._replace(ep=None)
-    return p
 
 
 def initial_position() -> Position:

@@ -10,8 +10,7 @@ it, so importing this module (and the CLI, for ``build``) does not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .measures import ComparisonRow
 
@@ -27,17 +26,15 @@ class StatsError(ValueError):
     """Raised when a correlation or summary is undefined for the given sample."""
 
 
-@dataclass(frozen=True)
 class PairedSample:
     """Paired observations (x_i, y_i) tagged with position ids."""
 
-    ids: Tuple[str, ...]
-    x: Tuple[float, ...]
-    y: Tuple[float, ...]
+    __slots__ = ("ids", "x", "y")
 
-    def __post_init__(self):
-        if not (len(self.ids) == len(self.x) == len(self.y)):
+    def __init__(self, ids: Tuple[str, ...], x: Tuple[float, ...], y: Tuple[float, ...]):
+        if not (len(ids) == len(x) == len(y)):
             raise ValueError("ids, x, y must have equal lengths")
+        self.ids, self.x, self.y = ids, x, y
 
     def __len__(self) -> int:
         return len(self.x)
@@ -51,8 +48,7 @@ class PairedSample:
                             tuple(self.y[i] for i in kept))
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
+class BootstrapResult(NamedTuple):
     """Point estimate with a percentile 95% confidence interval."""
 
     estimate: float
@@ -130,8 +126,23 @@ def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
     if len(values) < resamples / 2:
         raise StatsError(
             f"{resamples - len(values)} of {resamples} resamples were degenerate")
-    lower, upper = np.quantile(values, [0.025, 0.975])
-    return BootstrapResult(estimate, float(lower), float(upper), resamples, seed)
+    values.sort()
+    return BootstrapResult(estimate, _quantile(values, 0.025), _quantile(values, 0.975),
+                           resamples, seed)
+
+
+def _quantile(ordered, q: float) -> float:
+    """The ``q`` quantile of the ascending values ``ordered``, bit for bit as
+    np.quantile's default ``linear`` method gives it, without the import of
+    ``numpy.ma`` that np.quantile makes on its first call."""
+    index = (len(ordered) - 1) * q
+    below = math.floor(index)
+    if below >= len(ordered) - 1:
+        return float(ordered[-1])
+    a, b = ordered[below], ordered[below + 1]
+    gamma = index - below
+    # numpy interpolates from the nearer end
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
 
 
 def mean_std(values: Sequence[float]) -> Tuple[float, float]:

@@ -8,8 +8,7 @@ ignored. Lines without an id get "pos<N>" in file order.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, List, Union
+from typing import Iterable, List, NamedTuple, Union
 
 from . import rules
 
@@ -18,8 +17,7 @@ class SuiteError(ValueError):
     """Raised for malformed, empty, or duplicate-id suite files."""
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
+class SuiteEntry(NamedTuple):
     position_id: str
     position: rules.Position
     side_to_move: str  # "w" or "b"

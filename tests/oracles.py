@@ -5,6 +5,7 @@ from typing import List
 
 from openbook.book import RankedMove
 from openbook.measures import MoveDistribution
+from openbook.rules import Position, _canonical_ep
 
 
 def ranked_from_counts(counts) -> List[RankedMove]:
@@ -28,3 +29,10 @@ def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:
     qv = [q.get(s, 0.0) for s in support]
     mid = [(x + y) / 2.0 for x, y in zip(pv, qv)]
     return entropy(mid) - entropy(pv) / 2.0 - entropy(qv) / 2.0
+
+
+def normalize(p: Position) -> Position:
+    """Drop a meaningless en-passant target (no legal capture onto it)."""
+    if _canonical_ep(p) != p.ep:
+        return p._replace(ep=None)
+    return p

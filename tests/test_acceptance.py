@@ -7,24 +7,23 @@ Run with ``pytest tests/test_acceptance.py -v -s``.
 import io
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
 import refdata
-from oracles import jsd_entropy_form, ranked_from_counts
+from oracles import jsd_entropy_form, normalize, ranked_from_counts
 from openbook import rules
 from openbook.book import build_book, load_book, merge_books, save_book
 from openbook.cli import main
 from openbook.measures import (
-    assign_reciprocal_ranks,
+    _exact,
     jsd_similarity,
     m_measure,
     max_m,
     normalize_counts,
     overlap,
-    footrule_sum,
 )
-from openbook.measures import _max_m_fraction
 from openbook.pgn import GameRecord, parse_pgn_stream
 from openbook.report import parse_comparison_tsv
 from openbook.stats import PairedSample, bootstrap_ci, mean_std, pearson
@@ -38,7 +37,9 @@ def test_criterion_1_worked_example_golden_values():
     label = "criterion 1: worked-example golden test"
     try:
         assert overlap(HUMAN, ENGINE) == pytest.approx(9 / 11, abs=1e-9)
-        assert assign_reciprocal_ranks(HUMAN, ENGINE) == refdata.TOP10_RECIPROCAL
+        den, pairs, _ = _exact(HUMAN, ENGINE, len(HUMAN), len(ENGINE))
+        assert {san: (Fraction(na, den), Fraction(nb, den))
+                for san, (na, nb) in pairs.items()} == refdata.TOP10_RECIPROCAL
         assert max_m(10, 10) == pytest.approx(4.0398, abs=5e-4)
         assert m_measure(HUMAN, ENGINE) == pytest.approx(0.9694, abs=1e-4)
         p = normalize_counts(HUMAN, min_games=1)
@@ -138,7 +139,9 @@ def test_criterion_5a_measure_properties_bulk():
             ov = overlap(a, b)
             assert ov == overlap(b, a)
             assert 0.0 <= ov <= 1.0
-            assert footrule_sum(a, b) <= _max_m_fraction(len(a), len(b))
+            den, pairs, bound = _exact(a, b, len(a), len(b))
+            footrule = sum(abs(na - nb) for na, nb in pairs.values())
+            assert Fraction(footrule, den) <= Fraction(bound, den)
             if a and b:
                 p = normalize_counts(a, 1)
                 q = normalize_counts(b, 1)
@@ -246,7 +249,7 @@ def test_criterion_5f_san_fen_round_trips():
                     break
                 for move in moves:
                     assert rules.parse_san(pos, rules.emit_san(pos, move)) == move
-                assert rules.parse_fen(rules.emit_fen(pos)) == rules.normalize(pos)
+                assert rules.parse_fen(rules.emit_fen(pos)) == normalize(pos)
                 pos = rules._apply(pos, rng.choice(moves))
     except AssertionError:
         print(f"FAIL  {label}")

@@ -14,11 +14,10 @@ import refdata
 from oracles import jsd_entropy_form, ranked_from_counts
 from openbook.measures import (
     UndefinedMeasureError,
-    assign_reciprocal_ranks,
+    _exact,
     compare_position,
     expected_score,
     expected_score_row,
-    footrule_sum,
     jsd_similarity,
     m_measure,
     max_m,
@@ -40,6 +39,18 @@ def random_lists(rng, vocabulary=("a", "b", "c", "d", "e", "f", "g", "h", "i", "
             ranked_from_counts({m: rng.randrange(1, 1000) for m in moves2}))
 
 
+def exact_reciprocals(a, b):
+    """Reciprocal ranks over the move union as Fractions, from ``_exact``."""
+    den, pairs, _ = _exact(a, b, len(a), len(b))
+    return {san: (Fraction(na, den), Fraction(nb, den)) for san, (na, nb) in pairs.items()}
+
+
+def exact_footrule_and_bound(a, b):
+    """The footrule sum and maxM as Fractions, from ``_exact``."""
+    den, pairs, bound = _exact(a, b, len(a), len(b))
+    return Fraction(sum(abs(na - nb) for na, nb in pairs.values()), den), Fraction(bound, den)
+
+
 class TestOverlap:
     def test_golden_value(self):
         assert overlap(HUMAN, ENGINE) == pytest.approx(refdata.GOLDEN_OVERLAP, abs=1e-12)
@@ -59,12 +70,12 @@ class TestOverlap:
 
 class TestReciprocalRanks:
     def test_golden_table_exact(self):
-        assert assign_reciprocal_ranks(HUMAN, ENGINE) == refdata.TOP10_RECIPROCAL
+        assert exact_reciprocals(HUMAN, ENGINE) == refdata.TOP10_RECIPROCAL
 
     def test_top_move_in_both(self):
         a = ranked_from_counts({"e4": 9, "d4": 1})
         b = ranked_from_counts({"e4": 7})
-        ranks = assign_reciprocal_ranks(a, b)
+        ranks = exact_reciprocals(a, b)
         assert ranks["e4"] == (Fraction(1), Fraction(1))
         assert ranks["d4"] == (Fraction(1, 2), Fraction(1, 2))  # absent: 1/(1+1)
 
@@ -241,8 +252,8 @@ class TestProperties:
             if a or b:
                 assert overlap(a, b) == overlap(b, a)
                 assert 0.0 <= overlap(a, b) <= 1.0
-                from openbook.measures import _max_m_fraction
-                assert footrule_sum(a, b) <= _max_m_fraction(len(a), len(b))
+                footrule, bound = exact_footrule_and_bound(a, b)
+                assert footrule <= bound
                 if sorted((len(a), len(b))) != [0, 1]:  # zero normalizer
                     assert m_measure(a, b) == pytest.approx(
                         m_measure(b, a), abs=1e-12)
@@ -274,8 +285,9 @@ class TestProperties:
         a = ranked_from_counts({f"a{i}": c for i, c in enumerate(counts1)})
         b = ranked_from_counts({f"b{i}": c for i, c in enumerate(counts2)})
         # fully disjoint by construction: the bound is attained
-        assert float(footrule_sum(a, b)) == pytest.approx(
-            max_m(len(a), len(b)), abs=1e-12)
+        footrule, bound = exact_footrule_and_bound(a, b)
+        assert footrule == bound
+        assert float(footrule) == pytest.approx(max_m(len(a), len(b)), abs=1e-12)
 
 
 def oracle_reciprocals(a, b):
@@ -319,8 +331,8 @@ class TestExactM:
     @example(single, [RankedMove(3, "d4", 5, 50.0)])
     @settings(max_examples=400)
     def test_m_and_max_match_fraction_oracle(self, a, b):
-        assert assign_reciprocal_ranks(a, b) == oracle_reciprocals(a, b)
-        assert footrule_sum(a, b) == oracle_footrule(a, b)
+        assert exact_reciprocals(a, b) == oracle_reciprocals(a, b)
+        assert exact_footrule_and_bound(a, b)[0] == oracle_footrule(a, b)
         m_value, max_value = oracle_m_and_max(a, b)
         row = compare_position("p", a, b)
         assert row.m_measure == m_value

@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from oracles import normalize
 from openbook import rules
 from openbook.rules import (
     AmbiguousSanError,
@@ -97,7 +98,7 @@ class TestFen:
             if not moves:
                 break
             p = rules._apply(p, rng.choice(moves))
-            assert parse_fen(emit_fen(p)) == rules.normalize(p)
+            assert parse_fen(emit_fen(p)) == normalize(p)
 
 
 class TestLegalMoves:

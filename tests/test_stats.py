@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import refdata
 from openbook.measures import ComparisonRow
 from openbook.stats import (
     PairedSample,
     StatsError,
+    _quantile,
     bootstrap_ci,
     mean_std,
     pearson,
@@ -161,3 +164,17 @@ class TestBootstrapBits:
         result = bootstrap_ci(sample, resamples=10000, seed=seed)
         assert (result.lower, result.upper) == whole_matrix_pearson_bootstrap(
             sample, 10000, seed)
+
+
+@given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.integers(0, 17),
+       st.sampled_from([0.025, 0.5, 0.975]))
+@example(1, 0, 17, 0.025)
+@example(2, 0, 0, 0.975)
+@settings(max_examples=300, deadline=None)
+def test_quantile_matches_numpy_bit_for_bit(n, seed, digits, q):
+    # values like correlations, rounded to ``digits`` places: few places, many
+    # ties. Adding 0.0 turns -0.0 into 0.0: the two compare equal, so which of
+    # them a sort puts first is not defined, yet their bits differ
+    values = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, n), digits) + 0.0
+    ours = _quantile(np.sort(values), q)
+    assert np.float64(ours).tobytes() == np.float64(np.quantile(values, q)).tobytes()

@@ -376,6 +376,26 @@ class TestCliCompare:
                      "--suite", str(bad_suite), "--out", str(tmp_path / "r")]) == 2
         assert "bad suite" in capsys.readouterr().err
 
+    def test_unknown_exclude_id_is_data_error(self, built_books, suite3_path, tmp_path,
+                                              capsys):
+        out_dir = tmp_path / "report"
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+                     "--exclude", "nosuch,26,alsonot", "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (f"openbook: --exclude names no position of suite "
+                                           f"{suite3_path}: nosuch, alsonot\n")
+        assert not out_dir.exists()
+
+    def test_exclude_id_drops_its_row_from_the_second_pass(self, built_books, suite3_path,
+                                                           tmp_path):
+        out_dir = self.run_compare(built_books, suite3_path, tmp_path,
+                                   extra=("--exclude", "26"))
+        with open(os.path.join(out_dir, "comparison.tsv")) as handle:
+            lines = handle.read().splitlines()
+        assert "# exclude=26" in lines
+        assert [line.split()[2] for line in lines if line.startswith("# pearson_")] == [
+            "n=3", "n=2"]
+
     def test_tsv_self_consistency_round_trip(self, built_books, suite3_path, tmp_path):
         out_dir = self.run_compare(built_books, suite3_path, tmp_path,
                                    extra=("--precision", "full"))
@@ -405,6 +425,17 @@ class TestCliPlot:
         assert svg.count("<circle") == 3
         assert 'fill="red"' in svg  # marked point
 
+    def test_unknown_mark_id_is_data_error(self, built_books, suite3_path, tmp_path, capsys):
+        out_dir = str(tmp_path / "report")
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+                     "--out", out_dir]) == 0
+        svg_path = tmp_path / "scatter.svg"
+        assert main(["plot", "--report", os.path.join(out_dir, "comparison.tsv"),
+                     "--out", str(svg_path), "--mark", "26,nosuch"]) == 2
+        assert capsys.readouterr().err.endswith(": nosuch\n")
+        assert not svg_path.exists()
+
     def test_plot_without_defined_pairs_is_data_error(self, tmp_path, capsys):
         report_path = tmp_path / "empty.tsv"
         report_path.write_text("pos\tm_measure\tmax_m\tjsd\toverlap\n"
@@ -432,11 +463,33 @@ def test_outputs_get_the_mode_of_the_umask(pb_mini_path, comp_mini_path, suite3_
         assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    """``build`` never needs numpy; only the statistics of ``compare`` do."""
+def run_fresh(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports ``src``."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, openbook.cli; print('numpy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True).stdout
+
+
+# the modules perfbench/tracer.py patches after importing openbook.cli alone
+TRACED_LAYERS = ("pgn", "rules", "book", "suite", "measures", "stats", "report", "cli")
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """``build`` never needs numpy, and no command needs dataclasses or
+    fractions; the CLI's import still loads every layer module."""
+    out = run_fresh("import sys, openbook.cli\n"
+                    "print(*[m for m in ('dataclasses', 'fractions', 'numpy') if m in sys.modules])\n"
+                    f"print(*[n for n in {TRACED_LAYERS!r} if 'openbook.' + n not in sys.modules])")
+    assert out == "\n\n"
+
+
+def test_compare_leaves_numpy_ma_unloaded(built_books, suite3_path, tmp_path):
+    """np.quantile imports numpy.ma on its first call; the bootstrap's CI does not."""
+    argv = ["compare", "--book1", built_books[0], "--book2", built_books[1],
+            "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+            "--out", str(tmp_path / "report")]
+    out = run_fresh("import sys\nfrom openbook.cli import main\n"
+                    f"code = main({argv!r})\n"
+                    "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)")
+    assert out.split()[-3:] == ["0", "True", "False"]
