@@ -13,7 +13,7 @@ from .measures import (
     normalize_counts,
     overlap,
 )
-from .pgn import GameFilter, GameRecord, MalformedGame, ReplayError, filter_games, parse_pgn_stream
+from .pgn import GameRecord, MalformedGame, ReplayError, filter_games, parse_pgn_stream
 from .rules import (
     FenError,
     IllegalMoveError,
@@ -27,7 +27,6 @@ from .rules import (
     parse_san,
     perft,
     position_key,
-    resolve_san,
 )
 from .stats import BootstrapResult, PairedSample, bootstrap_ci, pearson, summarize
 from .suite import SuiteEntry, parse_epd_suite

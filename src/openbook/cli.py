@@ -13,7 +13,7 @@ from typing import List, Optional
 
 from . import book as book_mod
 from . import plot, report, rules
-from .pgn import GameFilter, MalformedGame, filter_games, parse_pgn_stream
+from .pgn import MalformedGame, filter_games, parse_pgn_stream
 from .suite import SuiteError, parse_epd_suite
 
 EXIT_OK = 0
@@ -78,33 +78,27 @@ def _listed_ids(text: str, option: str, known: set, where: str) -> List[str]:
     return ids
 
 
-def _parsed_games(path: str, reports: List[MalformedGame]):
-    """The games of one PGN file as they are parsed; reports go to ``reports``."""
-    for item in parse_pgn_stream(path):
-        if isinstance(item, MalformedGame):
-            reports.append(item)
-        else:
-            yield item
+def _parsed_games(paths: List[str], reports: List[MalformedGame]):
+    """The games of the PGN files, in order, as they are parsed; reports go
+    to ``reports``."""
+    for path in paths:
+        for item in parse_pgn_stream(path):
+            if isinstance(item, MalformedGame):
+                reports.append(item)
+            else:
+                yield item
 
 
 def cmd_build(args) -> int:
-    game_filter = GameFilter(min_rating=args.min_rating,
-                             require_result=args.require_result)
-    reports: List[MalformedGame] = []
-    built = None
     for path in args.pgn:
         if not os.path.exists(path):
             raise DataError(f"cannot read PGN {path}: no such file")
-        # filtering follows parsing, so malformed games that the filter
-        # would drop are still reported
-        partial = book_mod.build_book(filter_games(_parsed_games(path, reports), game_filter),
-                                      max_depth=args.depth,
-                                      source=args.source or os.path.basename(path))
-        built = partial if built is None else book_mod.merge_books(built, partial)
-    if built is None:
-        raise DataError("no PGN inputs")
-    if args.source:
-        built = built._replace(source=args.source)
+    reports: List[MalformedGame] = []
+    # filtering follows parsing, so malformed games that the filter would
+    # drop are still reported
+    built = book_mod.build_book(filter_games(_parsed_games(args.pgn, reports), args.min_rating),
+                                max_depth=args.depth,
+                                source=args.source or "+".join(map(os.path.basename, args.pgn)))
     try:
         book_mod.save_book(built, args.out)
     except book_mod.BookFormatError as exc:
@@ -161,8 +155,11 @@ def cmd_plot(args) -> int:
         raise DataError(f"cannot read report {args.report}: {exc}")
     except ValueError as exc:
         raise DataError(str(exc))
-    marked = _listed_ids(args.mark, "--mark", {row.position_id for row in rows},
-                         f"report {args.report}")
+    # scatter_svg draws only rows with both values, so a mark on any other is lost
+    marked = _listed_ids(args.mark, "--mark",
+                         {row.position_id for row in rows
+                          if row.m_measure is not None and row.jsd is not None},
+                         f"report {args.report} with a defined (m_measure, jsd) pair")
     points = [(row.position_id, row.m_measure, row.jsd) for row in rows]
     try:
         svg = plot.scatter_svg(points, marked)
@@ -184,11 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="maximum plies recorded per game")
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--min-rating", type=int, default=None)
-    p_build.add_argument("--require-result", action=argparse.BooleanOptionalAction,
-                         default=True,
-                         help="drop games with unknown result (default)")
     p_build.add_argument("--source", default=None,
-                         help="source description stored in book metadata")
+                         help="source description stored in book metadata "
+                              "(default: the PGN file names joined by '+')")
     p_build.set_defaults(func=cmd_build)
 
     p_query = sub.add_parser("query", help="ranked moves for one position")

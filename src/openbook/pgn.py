@@ -48,12 +48,6 @@ class GameRecord(_GameFields):
             self._line = _replay(self)
         return self._line
 
-    def rating(self, tag: str) -> Optional[int]:
-        try:
-            return int(self.tags[tag])
-        except (KeyError, ValueError):
-            return None
-
 
 class MalformedGame(NamedTuple):
     """Report for a game that could not be parsed or replayed."""
@@ -71,29 +65,6 @@ class ReplayError(ValueError):
     def __init__(self, report: MalformedGame):
         super().__init__(report.reason)
         self.report = report
-
-
-class GameFilter(NamedTuple):
-    """Predicate bundle applied by filter_games.
-
-    ``min_rating`` requires WhiteElo and BlackElo tags at or above the bound;
-    with ``require_result`` set, games with an unknown result are dropped.
-    """
-
-    min_rating: Optional[int] = None
-    require_result: bool = True
-
-    def accepts(self, game: GameRecord) -> bool:
-        if self.require_result and game.result == "*":
-            return False
-        if self.min_rating is not None:
-            white = game.rating("WhiteElo")
-            black = game.rating("BlackElo")
-            if white is None or black is None:
-                return False
-            if white < self.min_rating or black < self.min_rating:
-                return False
-        return True
 
 
 def _decode(raw: bytes) -> str:
@@ -279,8 +250,17 @@ def start_position(tags: dict) -> rules.Position:
     return rules.parse_fen(fen) if fen else _INITIAL_POSITION
 
 
-def filter_games(games: Iterable[GameRecord], game_filter: GameFilter) -> Iterator[GameRecord]:
-    """Pass through exactly the games accepted by the filter, in order."""
+def filter_games(games: Iterable[GameRecord],
+                 min_rating: Optional[int] = None) -> Iterator[GameRecord]:
+    """Pass through, in order, the games with a known result and, when
+    ``min_rating`` is given, WhiteElo and BlackElo tags of ASCII digits at
+    or above it."""
     for game in games:
-        if game_filter.accepts(game):
-            yield game
+        if game.result == "*":
+            continue
+        if min_rating is not None:
+            ratings = (game.tags.get("WhiteElo", ""), game.tags.get("BlackElo", ""))
+            # not int(), which takes "+2400", "2_400", " 2400" and "٢٤٠٠"
+            if not all(r.isascii() and r.isdigit() and int(r) >= min_rating for r in ratings):
+                continue
+        yield game

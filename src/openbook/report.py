@@ -83,12 +83,6 @@ def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
         correlation_excluded = _correlate(
             "excluded", sample.without(exclude), resamples, seed)
 
-    expected_summary = {}
-    for column, score_of in (("score1", lambda r: r.score1),
-                             ("score2", lambda r: r.score2)):
-        values = [score_of(r) for r in expected_rows if score_of(r) is not None]
-        expected_summary[column] = stats.mean_std(values) if len(values) >= 2 else None
-
     undefined_cells = sum(
         1 for row in comparison_rows for column in stats.COMPARISON_COLUMNS
         if getattr(row, column) is None)
@@ -106,7 +100,8 @@ def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
         "undefined_cells": str(undefined_cells),
     }
     return ReportDocument(comparison_rows, expected_rows,
-                          stats.summarize(comparison_rows), expected_summary,
+                          stats.summarize(comparison_rows),
+                          stats.summarize(expected_rows, ("score1", "score2")),
                           correlation_full, correlation_excluded, metadata)
 
 

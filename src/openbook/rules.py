@@ -54,8 +54,14 @@ def _steps(sq: int, offsets: tuple) -> tuple:
 # need no bounds tests
 _ROOK_RAYS = [_rays(sq, ROOK_DIRS) for sq in range(128)]
 _BISHOP_RAYS = [_rays(sq, BISHOP_DIRS) for sq in range(128)]
+_QUEEN_RAYS = [_rays(sq, KING_OFFSETS) for sq in range(128)]
 _KNIGHT_STEPS = [_steps(sq, KNIGHT_OFFSETS) for sq in range(128)]
 _KING_STEPS = [_steps(sq, KING_OFFSETS) for sq in range(128)]
+# per piece letter (uppercase), the rays a piece walks from each square;
+# knight and king steps are rays of one square
+_PIECE_RAYS = {"N": [tuple((s,) for s in steps) for steps in _KNIGHT_STEPS],
+               "B": _BISHOP_RAYS, "R": _ROOK_RAYS, "Q": _QUEEN_RAYS,
+               "K": [tuple((s,) for s in steps) for steps in _KING_STEPS]}
 
 A1, B1, C1, D1, E1, F1, G1, H1 = range(8)
 A8, B8, C8, D8, E8, F8, G8, H8 = range(112, 120)
@@ -203,31 +209,9 @@ def _pseudo_moves(p: Position):
                         add(Move(s, t, capture=True))
                 elif target is None and p.ep == t:
                     add(Move(s, t, capture=True, en_passant=True))
-        elif kind == "N":
-            for d in KNIGHT_OFFSETS:
-                t = s + d
-                if t & 0x88:
-                    continue
-                target = board[t]
-                if target is None:
-                    add(Move(s, t))
-                elif target.isupper() != white:
-                    add(Move(s, t, capture=True))
-        elif kind == "K":
-            for d in KING_OFFSETS:
-                t = s + d
-                if t & 0x88:
-                    continue
-                target = board[t]
-                if target is None:
-                    add(Move(s, t))
-                elif target.isupper() != white:
-                    add(Move(s, t, capture=True))
         else:
-            dirs = ROOK_DIRS if kind == "R" else BISHOP_DIRS if kind == "B" else KING_OFFSETS
-            for d in dirs:
-                t = s + d
-                while not t & 0x88:
+            for ray in _PIECE_RAYS[kind][s]:
+                for t in ray:
                     target = board[t]
                     if target is None:
                         add(Move(s, t))
@@ -235,7 +219,6 @@ def _pseudo_moves(p: Position):
                         if target.isupper() != white:
                             add(Move(s, t, capture=True))
                         break
-                    t += d
     return moves
 
 
@@ -534,14 +517,8 @@ def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
             elif (to_sq >> 4 == (3 if white else 4) and board[s] is None
                   and board[s + back] == own):
                 moves.append(Move(s + back, to_sq))
-    elif piece in ("N", "K"):
-        for s in (_KNIGHT_STEPS if piece == "N" else _KING_STEPS)[to_sq]:
-            if board[s] == own:
-                moves.append(Move(s, to_sq, capture=capture))
     else:
-        rays = (_ROOK_RAYS[to_sq] if piece == "R" else _BISHOP_RAYS[to_sq] if piece == "B"
-                else _ROOK_RAYS[to_sq] + _BISHOP_RAYS[to_sq])
-        for ray in rays:
+        for ray in _PIECE_RAYS[piece][to_sq]:
             for s in ray:
                 pc = board[s]
                 if pc is not None:
@@ -605,12 +582,6 @@ def _san(p: Position, m: Move, pool: list, successor: Position) -> str:
     if is_check(successor):
         body += "+" if _has_legal_move(successor) else "#"
     return body
-
-
-def resolve_san(p: Position, text: str) -> Tuple[Move, str]:
-    """Resolve a SAN token to its unique legal move and that move's canonical SAN."""
-    m, pool = _resolve(p, text)
-    return m, _san(p, m, pool, _apply(p, m))
 
 
 def parse_san(p: Position, text: str) -> Move:

@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
 
-from .measures import ComparisonRow
-
 RNG_ALGORITHM = "numpy-PCG64"
 STD_CONVENTION = "sample(n-1)"
 BOOTSTRAP_BLOCK_ROWS = 64  # resamples evaluated together
@@ -158,10 +156,12 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
 COMPARISON_COLUMNS = ("m_measure", "max_m", "jsd", "overlap")
 
 
-def summarize(rows: Sequence[ComparisonRow]) -> Dict[str, Optional[Tuple[float, float]]]:
-    """Per-column (mean, sample std) over defined cells of comparison rows."""
+def summarize(rows: Sequence[tuple], columns: Sequence[str] = COMPARISON_COLUMNS
+              ) -> Dict[str, Optional[Tuple[float, float]]]:
+    """Per-column (mean, sample std) over the defined cells of ``rows``, for
+    each named column; None where fewer than 2 cells are defined."""
     out: Dict[str, Optional[Tuple[float, float]]] = {}
-    for column in COMPARISON_COLUMNS:
+    for column in columns:
         values = [getattr(row, column) for row in rows
                   if getattr(row, column) is not None]
         out[column] = mean_std(values) if len(values) >= 2 else None

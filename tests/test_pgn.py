@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from openbook.pgn import (
     NULL_MOVE_TOKENS,
-    GameFilter,
     GameRecord,
     MalformedGame,
     ReplayError,
@@ -100,21 +99,35 @@ def test_glued_move_numbers():
 
 def test_filter_drops_unknown_results_by_default():
     games = parse('[Result "*"]\n\n1. e4 *\n\n[Result "1-0"]\n\n1. d4 1-0')
-    kept = list(filter_games(games, GameFilter()))
+    kept = list(filter_games(games))
     assert [g.result for g in kept] == ["1-0"]
 
 
 def test_empty_filter_is_identity():
     games = [g for g in parse(SIMPLE) if isinstance(g, GameRecord)]
-    assert list(filter_games(games, GameFilter(require_result=False))) == games
+    assert all(g.result != "*" for g in games)
+    assert list(filter_games(games)) == games
 
 
 def test_min_rating_filter():
     text = ('[WhiteElo "2100"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n1. e4 1-0\n\n'
-            '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n')
+            '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n\n'
+            '[WhiteElo "2450"]\n[Result "0-1"]\n\n1. c4 0-1\n\n'
+            '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "*"]\n\n1. Nf3 *\n')
     games = parse(text)
-    kept = list(filter_games(games, GameFilter(min_rating=2400)))
+    kept = list(filter_games(games, 2400))
     assert [g.moves for g in kept] == [("d4",)]
+
+
+# a digit separator, a sign, a space and Arabic-Indic digits, which int()
+# reads as 2400
+@pytest.mark.parametrize("elo", ["2_400", "+2400", " 2400", "\u0662\u0664\u0660\u0660"])
+def test_min_rating_needs_ascii_digits(elo):
+    text = (f'[WhiteElo "{elo}"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n1. e4 1-0\n\n'
+            '[WhiteElo "2400"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n')
+    games = parse(text)
+    assert [g.moves for g in filter_games(games, 2400)] == [("d4",)]
+    assert len(list(filter_games(games))) == 2
 
 
 def test_games_replay_cleanly(pb_mini_path):

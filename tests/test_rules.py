@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 
@@ -18,7 +19,6 @@ from openbook.rules import (
     parse_san,
     parse_square,
     position_key,
-    resolve_san,
 )
 from test_perft import TRICKY
 
@@ -320,7 +320,7 @@ def oracle_san(p, moves, m):
 
 def resolver_outcome(p, text):
     try:
-        return resolve_san(p, text)[0]
+        return parse_san(p, text)
     except AmbiguousSanError:
         return "ambiguous"
     except IllegalMoveError:
@@ -364,7 +364,7 @@ def test_resolver_matches_brute_force_oracle(fen):
         for m in moves:
             san = emit_san(p, m)
             assert san == oracle_san(p, moves, m)
-            assert resolve_san(p, san) == (m, san)
+            assert parse_san(p, san) == m
         # pseudo-legal moves add pinned pieces, pinned en passant and
         # moves into check, which the resolver must reject as well
         named = [(m, p.board[m.from_sq].upper(), rules.square_name(m.from_sq),
@@ -478,16 +478,41 @@ def test_square_tables_match_a_plain_walk():
     for sq in range(128):
         if sq & 0x88:
             tables = (rules._KNIGHT_STEPS, rules._KING_STEPS, rules._ROOK_RAYS,
-                      rules._BISHOP_RAYS)
+                      rules._BISHOP_RAYS, rules._QUEEN_RAYS,
+                      *(rules._PIECE_RAYS[piece] for piece in "NK"))
             assert all(table[sq] == () for table in tables)
             continue
         for table, offsets in ((rules._KNIGHT_STEPS, rules.KNIGHT_OFFSETS),
                                (rules._KING_STEPS, rules.KING_OFFSETS)):
             assert list(table[sq]) == [s for d in offsets for s in walk(sq, d, False)]
         for table, dirs in ((rules._ROOK_RAYS, rules.ROOK_DIRS),
-                            (rules._BISHOP_RAYS, rules.BISHOP_DIRS)):
+                            (rules._BISHOP_RAYS, rules.BISHOP_DIRS),
+                            (rules._QUEEN_RAYS, rules.KING_OFFSETS)):
             assert [list(ray) for ray in table[sq]] == [
                 walk(sq, d, True) for d in dirs if walk(sq, d, True)]
+        for piece, offsets in (("N", rules.KNIGHT_OFFSETS), ("K", rules.KING_OFFSETS)):
+            assert [list(ray) for ray in rules._PIECE_RAYS[piece][sq]] == [
+                walk(sq, d, False) for d in offsets if walk(sq, d, False)]
+
+
+# sha256 of legal_moves' UCI lists along seeded random walks of up to 100 plies;
+# perft counts cannot see move order, and perfbench/corpus.py picks moves by index
+LEGAL_ORDER_SHA256 = "f1ffef1f4bb6497a9d23f6c086c9392aa73e11e46043815c5624834bafcfb41b"
+
+
+def test_legal_move_order_is_unchanged():
+    digest = hashlib.sha256()
+    rng = random.Random(20061)
+    for fen in [rules.START_FEN] + [fen for fen, _ in TRICKY]:
+        for _ in range(8):
+            p = parse_fen(fen)
+            for _ in range(100):
+                moves = legal_moves(p)
+                digest.update((" ".join(m.uci() for m in moves) + "\n").encode())
+                if not moves:
+                    break
+                p = rules._apply(p, rng.choice(moves))
+    assert digest.hexdigest() == LEGAL_ORDER_SHA256
 
 
 class TestSanTokenCache:

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import refdata
-from openbook.measures import ComparisonRow
+from openbook.measures import ComparisonRow, ExpectedScoreRow
 from openbook.stats import (
     PairedSample,
     StatsError,
@@ -108,6 +108,14 @@ class TestSummaries:
         mean, std = mean_std(refdata.EXPECTED_ENGINE)
         assert mean == pytest.approx(refdata.GOLDEN_EXPECTED_ENGINE_MEAN_STD[0], abs=0.01)
         assert std == pytest.approx(refdata.GOLDEN_EXPECTED_ENGINE_MEAN_STD[1], abs=0.01)
+
+    def test_named_columns_of_expected_score_rows(self):
+        rows = [ExpectedScoreRow(str(i), "w", human, 10, engine, 10) for i, (human, engine)
+                in enumerate(zip(refdata.EXPECTED_HUMAN, refdata.EXPECTED_ENGINE))]
+        rows.append(ExpectedScoreRow("none", "b", None, None, None, None))
+        assert summarize(rows, ("score1", "score2")) == {
+            "score1": mean_std([r.score1 for r in rows[:-1]]),
+            "score2": mean_std([r.score2 for r in rows[:-1]])}
 
     def test_all_equal_column_has_zero_std(self):
         assert mean_std([3.0, 3.0, 3.0]) == (3.0, 0.0)

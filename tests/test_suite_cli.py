@@ -2,6 +2,7 @@ import hashlib
 import os
 import random
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -182,6 +183,45 @@ class TestCliBuild:
         for path, out in zip((pb_mini_path, comp_mini_path), parts):
             assert main(["build", "--pgn", path, "--out", out]) == 0
         assert load_book(repeated).games == sum(load_book(out).games for out in parts)
+
+    def test_source_names_every_file_read(self, tmp_path, pb_mini_path, capsys):
+        # two files with one base name: the source names both
+        for folder in ("x", "y"):
+            (tmp_path / folder).mkdir()
+            shutil.copy(pb_mini_path, tmp_path / folder / "a.pgn")
+        out = str(tmp_path / "o.book")
+        assert main(["build", "--pgn", str(tmp_path / "x" / "a.pgn"),
+                     "--pgn", str(tmp_path / "y" / "a.pgn"), "--out", out]) == 0
+        from openbook.book import load_book
+        book = load_book(out)
+        assert book.source == "a.pgn+a.pgn"
+        assert book.games == 2 * 49
+
+    def test_missing_later_pgn_is_data_error_before_any_parse(self, tmp_path, pb_mini_path,
+                                                              monkeypatch, capsys):
+        parsed = []
+        from openbook import cli
+        stream = cli.parse_pgn_stream
+        monkeypatch.setattr(cli, "parse_pgn_stream",
+                            lambda path: parsed.append(path) or stream(path))
+        out = tmp_path / "o.book"
+        code = main(["build", "--pgn", pb_mini_path, "--pgn", str(tmp_path / "missing.pgn"),
+                     "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing.pgn" in captured.err
+        assert parsed == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--require-result", "--no-require-result"])
+    def test_require_result_option_is_gone(self, flag, tmp_path, pb_mini_path, capsys):
+        out = tmp_path / "o.book"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--pgn", pb_mini_path, flag, "--out", str(out)])
+        assert err.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_line_break_in_source_refused(self, tmp_path, pb_mini_path, capsys):
         out = tmp_path / "o.book"
@@ -435,6 +475,20 @@ class TestCliPlot:
                      "--out", str(svg_path), "--mark", "26,nosuch"]) == 2
         assert capsys.readouterr().err.endswith(": nosuch\n")
         assert not svg_path.exists()
+
+    def test_mark_on_row_without_defined_pair_is_data_error(self, tmp_path, capsys):
+        report_path = tmp_path / "partial.tsv"
+        report_path.write_text("pos\tm_measure\tmax_m\tjsd\toverlap\n"
+                               "a\t0.5\t1.0\t0.5\t1\n"
+                               "b\t0.5\t1.0\tundefined\t1\n")
+        svg_path = tmp_path / "o.svg"
+        assert main(["plot", "--report", str(report_path), "--out", str(svg_path),
+                     "--mark", "a,b"]) == 2
+        assert capsys.readouterr().err.endswith(": b\n")
+        assert not svg_path.exists()
+        assert main(["plot", "--report", str(report_path), "--out", str(svg_path),
+                     "--mark", "a"]) == 0
+        assert svg_path.read_text().count('fill="red"') == 2  # the point and the arrow head
 
     def test_plot_without_defined_pairs_is_data_error(self, tmp_path, capsys):
         report_path = tmp_path / "empty.tsv"
