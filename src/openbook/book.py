@@ -99,7 +99,9 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
     Each game is replayed from its FEN tag's position, if it has one, using
     the moves its ``line`` resolved; a game whose moves do not all replay,
     even past ``max_depth``, raises ``pgn.ReplayError``. Records that
-    ``parse_pgn_stream`` yields have already replayed.
+    ``parse_pgn_stream`` yields have already replayed. The recorded plies
+    are made on one mutable ``rules._Board``, frozen after each move for
+    its SAN check suffix and the next position's key.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -111,8 +113,10 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
             continue
         line = game.line
         pos = start_position(game.tags)
+        board = rules._Board(pos)
         for move, pool in line[:max_depth]:
-            successor = rules._apply(pos, move)
+            board.push(move)
+            successor = board.position()
             san = rules._san(pos, move, pool, successor)
             entry = counts.setdefault(rules.position_key(pos), {}).setdefault(san, [0, 0, 0, 0])
             entry[0] += 1

@@ -32,8 +32,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
+    """An argparse type: an integer of ASCII digits no smaller than ``minimum``."""
     def parse(text: str) -> int:
+        # not int() alone, which takes "+4", " 4", "4_0" and "٤"
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(text)
         value = int(text)
         if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text!r}")
@@ -44,7 +47,7 @@ def _at_least(minimum: int):
 
 
 def _precision(text: str) -> str:
-    if text != "full" and int(text) < 0:
+    if text != "full" and not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(f"must be 'full' or at least 0, got {text!r}")
     return text
 
@@ -180,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--depth", type=_at_least(1), default=40,
                          help="maximum plies recorded per game")
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--min-rating", type=int, default=None)
+    p_build.add_argument("--min-rating", type=_at_least(0), default=None)
     p_build.add_argument("--source", default=None,
                          help="source description stored in book metadata "
                               "(default: the PGN file names joined by '+')")
@@ -200,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_compare.add_argument("--suite", required=True)
     p_compare.add_argument("--min-games", type=_at_least(0), default=10)
     p_compare.add_argument("--bootstrap", type=_at_least(1), default=10000)
-    p_compare.add_argument("--seed", type=int, default=0)
+    p_compare.add_argument("--seed", type=_at_least(0), default=0)
     p_compare.add_argument("--exclude", default="",
                            help="comma-separated position ids to exclude "
                                 "from the second correlation pass")

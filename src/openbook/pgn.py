@@ -35,8 +35,10 @@ class GameRecord(_GameFields):
     ``line`` is the game replayed from its start position: per ply, the
     move and the pool ``rules._resolve`` returned with it (the legal moves
     of its piece type onto its target square), which is what canonical SAN
-    needs. It is computed on first use and kept outside the tuple, so
-    equality ignores it; parse_pgn_stream uses it to validate every record.
+    needs. The replay resolves and makes every ply on one mutable
+    ``rules._Board`` and builds no Position per ply. The line is computed
+    on first use and kept outside the tuple, so equality ignores it;
+    parse_pgn_stream uses it to validate every record.
     """
 
     _line: Optional[tuple] = None
@@ -229,15 +231,17 @@ def _replay(game: GameRecord) -> tuple:
     except rules.FenError as exc:
         raise ReplayError(MalformedGame(game.game_index, f"bad FEN tag: {exc}",
                                         tags=game.tags)) from None
+    board = rules._Board(pos)
     line = []
     for index, token in enumerate(game.moves):
         try:
-            move, pool = rules._resolve(pos, token)
+            move, pool = rules._resolve(board, token)
         except rules.IllegalMoveError as exc:
             raise ReplayError(MalformedGame(game.game_index, str(exc), move_index=index,
-                                            fen=rules.emit_fen(pos), tags=game.tags)) from None
+                                            fen=rules.emit_fen(board.position()),
+                                            tags=game.tags)) from None
         line.append((move, pool))
-        pos = rules._apply(pos, move)
+        board.push(move)
     return tuple(line)
 
 

@@ -2,8 +2,10 @@
 
 The board is a 0x88 mailbox: square index = 16 * rank + file, so off-board
 squares are detected with ``index & 0x88``. White pieces are uppercase
-letters, black lowercase. Positions are immutable values; every operation
-returns a new Position.
+letters, black lowercase. Positions are immutable values, and every public
+operation takes and returns them. Inside, a line of moves is replayed on one
+mutable ``_Board``: ``_Board.push`` makes a move in place, the SAN resolvers
+read the live board, and ``_Board.position`` freezes it into a Position.
 """
 
 from __future__ import annotations
@@ -123,6 +125,75 @@ class Position(NamedTuple):
     kings: Tuple[int, int]
 
 
+# a castling move's rook (from, to) per side and wing, and the castling right
+# lost when a move leaves or lands on each rook's home square
+_CASTLE_ROOK = {(True, "K"): (H1, F1), (True, "Q"): (A1, D1),
+                (False, "K"): (H8, F8), (False, "Q"): (A8, D8)}
+_ROOK_RIGHT = {H1: "K", A1: "Q", H8: "k", A8: "q"}
+
+
+class _Board:
+    """A mutable position: the fields of a Position, with ``squares`` a list
+    of the 128 slots and ``white`` for ``turn``. ``push`` changes it in
+    place, so a line of moves is replayed without a copy per ply."""
+
+    __slots__ = ("squares", "white", "castling", "ep", "halfmove", "fullmove", "kings")
+
+    def __init__(self, p: Position):
+        self.squares = list(p.board)
+        self.white = p.turn == WHITE
+        self.castling = p.castling
+        self.ep = p.ep
+        self.halfmove = p.halfmove
+        self.fullmove = p.fullmove
+        self.kings = p.kings
+
+    def position(self) -> Position:
+        """The position on the board now, frozen."""
+        return Position(tuple(self.squares), WHITE if self.white else BLACK, self.castling,
+                        self.ep, self.halfmove, self.fullmove, self.kings)
+
+    def push(self, m: Move) -> None:
+        """Make a known-legal move in place. Callers must have validated legality."""
+        f, t, promotion, capture, en_passant, castle = m
+        board = self.squares
+        white = self.white
+        pc = board[f]
+        board[f] = None
+        if en_passant:
+            board[t + (-16 if white else 16)] = None
+        if promotion:
+            board[t] = promotion if white else promotion.lower()
+        else:
+            board[t] = pc
+        if castle:
+            rook_from, rook_to = _CASTLE_ROOK[white, castle]
+            board[rook_to] = board[rook_from]
+            board[rook_from] = None
+
+        rights = self.castling
+        if rights:
+            if pc == "K":
+                rights = rights.replace("K", "").replace("Q", "")
+            elif pc == "k":
+                rights = rights.replace("k", "").replace("q", "")
+            for sq in (f, t):
+                if sq in _ROOK_RIGHT:
+                    rights = rights.replace(_ROOK_RIGHT[sq], "")
+            self.castling = rights
+
+        pawn = pc in ("P", "p")
+        self.ep = (f + t) // 2 if pawn and abs(t - f) == 32 else None
+        self.halfmove = 0 if (pawn or capture) else self.halfmove + 1
+        if not white:
+            self.fullmove += 1
+        if pc == "K":
+            self.kings = (t, self.kings[1])
+        elif pc == "k":
+            self.kings = (self.kings[0], t)
+        self.white = not white
+
+
 def _attacked(board, sq: int, by_white: bool) -> bool:
     """Is ``sq`` attacked by any piece of the given color?"""
     pawn, knight, king = ("P", "N", "K") if by_white else ("p", "n", "k")
@@ -222,38 +293,39 @@ def _pseudo_moves(p: Position):
     return moves
 
 
-# per side: (right, king target, rook square, squares that must be empty,
-# squares the king passes that must not be attacked)
+# per side, True for white: (right, king target, rook square, squares that must
+# be empty, squares the king passes that must not be attacked)
 _CASTLING = {
-    WHITE: (("K", G1, H1, (F1, G1), (E1, F1, G1)),
-            ("Q", C1, A1, (B1, C1, D1), (E1, D1, C1))),
-    BLACK: (("k", G8, H8, (F8, G8), (E8, F8, G8)),
+    True: (("K", G1, H1, (F1, G1), (E1, F1, G1)),
+           ("Q", C1, A1, (B1, C1, D1), (E1, D1, C1))),
+    False: (("k", G8, H8, (F8, G8), (E8, F8, G8)),
             ("q", C8, A8, (B8, C8, D8), (E8, D8, C8))),
 }
 
 
-def _castles(p: Position) -> list:
-    """Legal castling moves; placement is re-checked for hand-built positions."""
-    board = p.board
-    white = p.turn == WHITE
+def _castles(b: _Board) -> list:
+    """Legal castling moves on the live board ``b``; placement is re-checked
+    for hand-built positions."""
+    board = b.squares
+    white = b.white
     king, rook = ("K", "R") if white else ("k", "r")
     home = E1 if white else E8
     return [Move(home, to_sq, castle=right.upper())
-            for right, to_sq, rook_sq, empty, path in _CASTLING[p.turn]
-            if right in p.castling and board[home] == king and board[rook_sq] == rook
+            for right, to_sq, rook_sq, empty, path in _CASTLING[white]
+            if right in b.castling and board[home] == king and board[rook_sq] == rook
             and all(board[s] is None for s in empty)
             and not any(_attacked(board, s, not white) for s in path)]
 
 
 def _leaves_king_safe(board: list, m: Move, white: bool, king_sq: int) -> bool:
-    """Make ``m`` on the scratch ``board``, test the own king, and unmake it."""
-    f = m.from_sq
-    cap_sq = m.to_sq + (-16 if white else 16) if m.en_passant else m.to_sq
+    """Make ``m`` on ``board``, test the own king, and unmake it."""
+    f, t, _, _, en_passant, _ = m
+    cap_sq = t + (-16 if white else 16) if en_passant else t
     moved, captured = board[f], board[cap_sq]
     board[cap_sq] = board[f] = None
-    board[m.to_sq] = moved
-    ok = not _attacked(board, m.to_sq if f == king_sq else king_sq, not white)
-    board[m.to_sq] = None
+    board[t] = moved
+    ok = not _attacked(board, t if f == king_sq else king_sq, not white)
+    board[t] = None
     board[f] = moved
     board[cap_sq] = captured
     return ok
@@ -261,15 +333,16 @@ def _leaves_king_safe(board: list, m: Move, white: bool, king_sq: int) -> bool:
 
 def legal_moves(p: Position) -> list:
     """All legal moves in ``p`` under FIDE rules."""
-    board = list(p.board)
-    white = p.turn == WHITE
+    b = _Board(p)
+    board = b.squares
+    white = b.white
     king_sq = p.kings[0] if white else p.kings[1]
     in_check = _attacked(board, king_sq, not white)
     pinned = _pinned_squares(board, king_sq, white)
     out = [m for m in _pseudo_moves(p)
            if (not in_check and m.from_sq != king_sq and m.from_sq not in pinned
                and not m.en_passant) or _leaves_king_safe(board, m, white, king_sq)]
-    return out + _castles(p)
+    return out + _castles(b)
 
 
 def _has_legal_move(p: Position) -> bool:
@@ -288,44 +361,9 @@ def is_check(p: Position) -> bool:
 
 def _apply(p: Position, m: Move) -> Position:
     """Apply a known-legal move. Callers must have validated legality."""
-    board = list(p.board)
-    white = p.turn == WHITE
-    pc = board[m.from_sq]
-    board[m.from_sq] = None
-    if m.en_passant:
-        board[m.to_sq + (-16 if white else 16)] = None
-    if m.promotion:
-        board[m.to_sq] = m.promotion if white else m.promotion.lower()
-    else:
-        board[m.to_sq] = pc
-    if m.castle == "K":
-        rook_from, rook_to = (H1, F1) if white else (H8, F8)
-        board[rook_to] = board[rook_from]
-        board[rook_from] = None
-    elif m.castle == "Q":
-        rook_from, rook_to = (A1, D1) if white else (A8, D8)
-        board[rook_to] = board[rook_from]
-        board[rook_from] = None
-
-    rights = p.castling
-    if rights:
-        if pc == "K":
-            rights = rights.replace("K", "").replace("Q", "")
-        elif pc == "k":
-            rights = rights.replace("k", "").replace("q", "")
-        for sq, flag in ((H1, "K"), (A1, "Q"), (H8, "k"), (A8, "q")):
-            if m.from_sq == sq or m.to_sq == sq:
-                rights = rights.replace(flag, "")
-
-    ep = None
-    if pc in ("P", "p") and abs(m.to_sq - m.from_sq) == 32:
-        ep = (m.from_sq + m.to_sq) // 2
-    halfmove = 0 if (pc in ("P", "p") or m.capture) else p.halfmove + 1
-    fullmove = p.fullmove + (0 if white else 1)
-    kings = ((m.to_sq, p.kings[1]) if pc == "K" else (p.kings[0], m.to_sq) if pc == "k"
-             else p.kings)
-    return Position(tuple(board), BLACK if white else WHITE, rights, ep, halfmove, fullmove,
-                    kings)
+    b = _Board(p)
+    b.push(m)
+    return b.position()
 
 
 def apply_move(p: Position, m: Move) -> Position:
@@ -342,7 +380,7 @@ def _canonical_ep(p: Position) -> Optional[int]:
     the third or sixth rank, so the only pawn moves ``_origins`` finds onto
     it are en-passant captures.
     """
-    return p.ep if p.ep is not None and _origins(p, "P", p.ep, None) else None
+    return p.ep if p.ep is not None and _origins(_Board(p), "P", p.ep, None) else None
 
 
 def initial_position() -> Position:
@@ -486,16 +524,17 @@ def _parse_token(text: str):
     return piece or "P", from_file, from_rank, parse_square(to_name), promo, None
 
 
-def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
-    """Legal non-castling moves of one piece type (uppercase) onto ``to_sq``.
+def _origins(b: _Board, piece: str, to_sq: int, promo: Optional[str]) -> list:
+    """Legal non-castling moves of one piece type (uppercase) onto ``to_sq``
+    on the live board ``b``, which is left as it was.
 
     Candidates are worked back from the target (pawn moves behind it, knight
     and king offsets, slider rays cast out from it), and only they are tested
     for king safety: the from/to-square filtering of python-chess's
     ``Board.parse_san`` (https://github.com/niklasf/python-chess).
     """
-    board = p.board
-    white = p.turn == WHITE
+    board = b.squares
+    white = b.white
     target = board[to_sq]
     if target is not None and target.isupper() == white:
         return []
@@ -506,7 +545,7 @@ def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
     moves = []
     if piece == "P":
         back = -16 if white else 16
-        if capture or to_sq == p.ep:
+        if capture or to_sq == b.ep:
             for s in (to_sq + back - 1, to_sq + back + 1):
                 if not s & 0x88 and board[s] == own:
                     moves.append(Move(s, to_sq, promo, capture=True, en_passant=not capture))
@@ -523,36 +562,40 @@ def _origins(p: Position, piece: str, to_sq: int, promo: Optional[str]) -> list:
                 pc = board[s]
                 if pc is not None:
                     if pc == own:
-                        moves.append(Move(s, to_sq, capture=capture))
+                        moves.append(Move(s, to_sq, None, capture))
                     break
     if not moves:
         return moves
-    scratch = list(board)
-    king_sq = p.kings[0] if white else p.kings[1]
-    return [m for m in moves if _leaves_king_safe(scratch, m, white, king_sq)]
+    king_sq = b.kings[0] if white else b.kings[1]
+    return [m for m in moves if _leaves_king_safe(board, m, white, king_sq)]
 
 
-def _resolve(p: Position, text: str):
-    """The unique legal move a SAN token names, and the legal moves of its
-    piece type onto its target square (all castling moves for O-O/O-O-O)."""
+def _resolve(b: _Board, text: str):
+    """The unique legal move a SAN token names on the live board ``b``, and
+    the legal moves of its piece type onto its target square (all castling
+    moves for O-O/O-O-O)."""
     parsed = _parse_token(text)
     if isinstance(parsed, str):
-        raise IllegalMoveError(f"{parsed} {text!r} in {emit_fen(p)}")
+        raise IllegalMoveError(f"{parsed} {text!r} in {emit_fen(b.position())}")
     piece, from_file, from_rank, to_sq, promo, castle = parsed
     if castle:
-        pool = _castles(p)
+        pool = _castles(b)
         candidates = [m for m in pool if m.castle == castle]
     else:
-        pool = _origins(p, piece, to_sq, promo)
-        # pawn captures always carry the source file in SAN
-        candidates = [m for m in pool
-                      if (from_file or piece != "P" or not m.capture)
-                      and from_file in (None, FILES[m.from_sq & 7])
-                      and from_rank in (None, str((m.from_sq >> 4) + 1))]
+        pool = _origins(b, piece, to_sq, promo)
+        # a piece token naming no source file or rank fits every pool move
+        if piece != "P" and from_file is None and from_rank is None:
+            candidates = pool
+        else:
+            # pawn captures always carry the source file in SAN
+            candidates = [m for m in pool
+                          if (from_file or piece != "P" or not m.capture)
+                          and from_file in (None, FILES[m.from_sq & 7])
+                          and from_rank in (None, str((m.from_sq >> 4) + 1))]
     if not candidates:
-        raise IllegalMoveError(f"illegal SAN {text!r} in {emit_fen(p)}")
+        raise IllegalMoveError(f"illegal SAN {text!r} in {emit_fen(b.position())}")
     if len(candidates) > 1:
-        raise AmbiguousSanError(f"ambiguous SAN {text!r} in {emit_fen(p)}")
+        raise AmbiguousSanError(f"ambiguous SAN {text!r} in {emit_fen(b.position())}")
     return candidates[0], pool
 
 
@@ -586,17 +629,19 @@ def _san(p: Position, m: Move, pool: list, successor: Position) -> str:
 
 def parse_san(p: Position, text: str) -> Move:
     """Resolve a SAN token to the unique matching legal move."""
-    return _resolve(p, text)[0]
+    return _resolve(_Board(p), text)[0]
 
 
 def emit_san(p: Position, m: Move) -> str:
     """Minimal-disambiguation SAN for a legal move, with check suffix."""
-    piece = p.board[m.from_sq]
-    pool = (_castles(p) if m.castle else
-            _origins(p, piece.upper(), m.to_sq, m.promotion) if piece else [])
+    b = _Board(p)
+    piece = b.squares[m.from_sq]
+    pool = (_castles(b) if m.castle else
+            _origins(b, piece.upper(), m.to_sq, m.promotion) if piece else [])
     if m not in pool:
         raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
-    return _san(p, m, pool, _apply(p, m))
+    b.push(m)
+    return _san(p, m, pool, b.position())
 
 
 def perft(p: Position, depth: int) -> int:

@@ -1,9 +1,11 @@
 import io
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from openbook import rules
 from openbook.pgn import (
     NULL_MOVE_TOKENS,
     GameRecord,
@@ -174,6 +176,57 @@ def test_hand_built_record_replays_on_first_use():
         game.line
     assert (err.value.report.game_index, err.value.report.move_index) == (5, 1)
     assert "4P3" in err.value.report.fen
+
+
+WALK_STARTS = [
+    rules.START_FEN,
+    "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1",
+    "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 w - - 0 1",
+    "r3k2r/Pppp1ppp/1b3nbN/nP6/BBP1P3/q4N2/Pp1P2PP/R2Q1RK1 w kq - 0 1",
+    "n1n5/PPPk4/8/8/8/8/4Kppp/5N1N b - - 0 1",
+    "rnbqkbnr/pp2p1pp/8/2ppPp2/8/8/PPPP1PPP/RNBQKBNR w KQkq f6 0 4",
+]
+
+
+def _reference_line(start, tokens):
+    """(move, pool) per token through parse_san, legal_moves and
+    _apply, one Position per ply."""
+    pos, line = start, []
+    for token in tokens:
+        move = rules.parse_san(pos, token)
+        legal = rules.legal_moves(pos)
+        if move.castle:
+            pool = [m for m in legal if m.castle]
+        else:
+            piece = pos.board[move.from_sq]
+            pool = [m for m in legal if not m.castle and m.to_sq == move.to_sq
+                    and m.promotion == move.promotion and pos.board[m.from_sq] == piece]
+        line.append((move, pool))
+        pos = rules._apply(pos, move)
+    return line
+
+
+def test_line_matches_a_replay_through_parse_san_and_apply():
+    rng = random.Random(14)
+    kinds = set()
+    for walk in range(90):
+        fen = WALK_STARTS[walk % len(WALK_STARTS)]
+        pos, tokens = rules.parse_fen(fen), []
+        for _ in range(rng.randrange(1, 90)):
+            moves = rules.legal_moves(pos)
+            if not moves:
+                break
+            move = rng.choice(moves)
+            tokens.append(rules.emit_san(pos, move))
+            pos = rules._apply(pos, move)
+        tags = {} if fen == rules.START_FEN else {"FEN": fen}
+        line = GameRecord(tags, tuple(tokens), "1-0").line
+        reference = _reference_line(rules.parse_fen(fen), tokens)
+        assert [move for move, _ in line] == [move for move, _ in reference]
+        assert [sorted(pool) for _, pool in line] == [sorted(pool) for _, pool in reference]
+        kinds.update(kind for move, _ in line
+                     for kind in ("castle", "en_passant", "promotion") if getattr(move, kind))
+    assert kinds == {"castle", "en_passant", "promotion"}
 
 
 def _reference_strip(text):

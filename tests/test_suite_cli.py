@@ -16,6 +16,10 @@ from openbook.pgn import GameRecord, MalformedGame, parse_pgn_stream
 from openbook.report import parse_comparison_tsv
 from openbook.suite import SuiteError, parse_epd_suite
 
+# a sign, a space, a digit separator and Arabic-Indic digits: int() reads
+# each as 1000
+INT_LOOKALIKES = ["+1000", " 1000", "1_000", "\u0661\u0660\u0660\u0660"]
+
 
 class TestEpdSuite:
     def test_initial_position_with_id(self):
@@ -134,6 +138,52 @@ class TestCliBuild:
             main(["build", "--pgn", pb_mini_path, "--depth", depth, "--out", str(out)])
         assert err.value.code == 1
         assert "--depth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_skip_lines_name_the_failing_position_exactly(self, tmp_path, capsys):
+        # each game fails right after: a castle; a piece capture; a double
+        # push whose ep square is capturable; one whose ep square is not; a
+        # capturing promotion; in FEN-tagged games, a double push whose ep
+        # capture would expose the king, and an under-promotion after castling
+        games = [
+            ("1-0", "", "1. e4 e5 2. Nf3 Nc6 3. Bc4 Bc5 4. O-O Nf6 5. Re1 O-O 6. Kd1"),
+            ("1-0", "", "1. e4 e5 2. Nf3 Nc6 3. d4 exd4 4. Nxd4 Kd7"),
+            ("1-0", "", "1. e4 Nf6 2. e5 d5 3. Ke3"),
+            ("1-0", "", "1. Nf3 Nf6 2. e4 Ke5"),
+            ("1-0", "", "1. e4 d5 2. exd5 c6 3. dxc6 Nf6 4. cxb7 Bd7 5. bxa8=Q Ke7"),
+            ("0-1", "8/2p5/3p4/KP5r/1R3p1k/8/4P1P1/8 b - - 3 41", "41... c5 42. Kd3"),
+            ("0-1", "r3k2r/1P6/8/8/8/8/6p1/R3K2R b KQkq - 7 30",
+             "30... gxh1=Q+ 31. Kd2 O-O 32. bxa8=N Ke2"),
+        ]
+        pgn = tmp_path / "skips.pgn"
+        pgn.write_text("\n".join(
+            f'[Result "{result}"]\n' + (f'[SetUp "1"]\n[FEN "{fen}"]\n' if fen else "")
+            + f"\n{moves} {result}\n" for result, fen, moves in games))
+        assert main(["build", "--pgn", str(pgn), "--out", str(tmp_path / "o.book")]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "skipped game 1: illegal SAN 'Kd1' in "
+            "r1bq1rk1/pppp1ppp/2n2n2/2b1p3/2B1P3/5N2/PPPP1PPP/RNBQR1K1 w - - 8 6",
+            "skipped game 2: illegal SAN 'Kd7' in "
+            "r1bqkbnr/pppp1ppp/2n5/8/3NP3/8/PPP2PPP/RNBQKB1R b KQkq - 0 4",
+            "skipped game 3: illegal SAN 'Ke3' in "
+            "rnbqkb1r/ppp1pppp/5n2/3pP3/8/8/PPPP1PPP/RNBQKBNR w KQkq d6 0 3",
+            "skipped game 4: illegal SAN 'Ke5' in "
+            "rnbqkb1r/pppppppp/5n2/8/4P3/5N2/PPPP1PPP/RNBQKB1R b KQkq - 0 2",
+            "skipped game 5: illegal SAN 'Ke7' in "
+            "Qn1qkb1r/p2bpppp/5n2/8/8/8/PPPP1PPP/RNBQKBNR b KQk - 0 5",
+            "skipped game 6: illegal SAN 'Kd3' in 8/8/3p4/KPp4r/1R3p1k/8/4P1P1/8 w - - 0 42",
+            "skipped game 7: illegal SAN 'Ke2' in N4rk1/8/8/8/8/8/3K4/R6q b - - 0 32",
+        ]
+
+    @pytest.mark.parametrize("value", INT_LOOKALIKES)
+    @pytest.mark.parametrize("flag", ["--depth", "--min-rating"])
+    def test_integer_option_needs_ascii_digits(self, flag, value, pb_mini_path, tmp_path,
+                                               capsys):
+        out = tmp_path / "o.book"
+        with pytest.raises(SystemExit) as err:
+            main(["build", "--pgn", pb_mini_path, flag, value, "--out", str(out)])
+        assert err.value.code == 1
+        assert flag in capsys.readouterr().err
         assert not out.exists()
 
     def test_every_parsed_ply_resolved_once(self, tmp_path, monkeypatch, capsys):
@@ -358,7 +408,7 @@ class TestCliCompare:
         assert unbooked.m_measure is None and unbooked.jsd is None
         assert metadata["undefined_cells"] != "0"
 
-    @pytest.mark.parametrize("precision", ["abc", "-1", "2.5"])
+    @pytest.mark.parametrize("precision", ["abc", "-1", "2.5", "+3", "\u0663"])
     def test_bad_precision_is_usage_error(self, precision, built_books, suite3_path,
                                           tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -370,7 +420,7 @@ class TestCliCompare:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value", [("--min-games", "-5"), ("--bootstrap", "0"),
-                                             ("--bootstrap", "-3")])
+                                             ("--bootstrap", "-3"), ("--seed", "-1")])
     def test_count_below_its_bound_is_usage_error(self, flag, value, built_books,
                                                    suite3_path, tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -379,6 +429,16 @@ class TestCliCompare:
         assert err.value.code == 1
         assert flag in capsys.readouterr().err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", INT_LOOKALIKES)
+    @pytest.mark.parametrize("flag", ["--min-games", "--bootstrap", "--seed"])
+    def test_integer_option_needs_ascii_digits(self, flag, value, built_books, suite3_path,
+                                               tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            self.run_compare(built_books, suite3_path, tmp_path, extra=(flag, value))
+        assert err.value.code == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     def test_undefined_ci_line_gives_its_reason(self, built_books, suite3_path, tmp_path):
         out_dir = self.run_compare(built_books, suite3_path, tmp_path,
