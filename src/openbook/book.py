@@ -100,8 +100,9 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
     the moves its ``line`` resolved; a game whose moves do not all replay,
     even past ``max_depth``, raises ``pgn.ReplayError``. Records that
     ``parse_pgn_stream`` yields have already replayed. The recorded plies
-    are made on one mutable ``rules._Board``, frozen after each move for
-    its SAN check suffix and the next position's key.
+    are made on one mutable ``rules._Board``, which keys each position
+    (``_Board.key``) and whose check flag gives each SAN's check suffix, so
+    no Position is frozen per ply, only one per check for the mate test.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -112,18 +113,18 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
         if tally is None:
             continue
         line = game.line
-        pos = start_position(game.tags)
-        board = rules._Board(pos)
+        board = rules._Board(start_position(game.tags))
+        squares = board.squares
         for move, pool in line[:max_depth]:
+            key = board.key()
+            piece = squares[move.from_sq]
             board.push(move)
-            successor = board.position()
-            san = rules._san(pos, move, pool, successor)
-            entry = counts.setdefault(rules.position_key(pos), {}).setdefault(san, [0, 0, 0, 0])
+            san = rules._san(piece, move, pool, board)
+            entry = counts.setdefault(key, {}).setdefault(san, [0, 0, 0, 0])
             entry[0] += 1
             entry[1] += tally[0]
             entry[2] += tally[1]
             entry[3] += tally[2]
-            pos = successor
         total_games += 1
     positions = {
         key: {san: MoveStats(san, *entry) for san, entry in moves.items()}

@@ -1,8 +1,8 @@
 """Scatter-plot SVG of M-measure against JSD similarity.
 
 Hand-rolled SVG: fixed 800x600 viewport, both axes spanning [0, 1],
-points labeled by position id. Marked points (outliers) are drawn in red
-with an arrow pointing at them.
+points labeled by position id (escaped as XML text). Marked points
+(outliers) are drawn in red with an arrow pointing at them.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ def _y(value: float) -> float:
 def scatter_svg(points: Sequence[Tuple[str, float, float]],
                 marked: Iterable[str] = ()) -> str:
     """SVG scatter of (id, m, jsd) points; ids in ``marked`` get an arrow."""
+    from html import escape  # imported here so other commands start without it
+
     points = [p for p in points if p[1] is not None and p[2] is not None]
     if not points:
         raise PlotError("no defined (m_measure, jsd) pairs to plot")
@@ -64,7 +66,7 @@ def scatter_svg(points: Sequence[Tuple[str, float, float]],
         color = "red" if position_id in marked else "steelblue"
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="4" fill="{color}"/>')
         parts.append(f'<text x="{x + 6:.1f}" y="{y - 6:.1f}" font-size="11">'
-                     f'{position_id}</text>')
+                     f'{escape(position_id, quote=False)}</text>')
         if position_id in marked:
             parts.append(f'<line x1="{x + 30:.1f}" y1="{y + 30:.1f}" '
                          f'x2="{x + 6:.1f}" y2="{y + 6:.1f}" stroke="red" '

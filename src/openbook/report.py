@@ -188,8 +188,9 @@ def _tsv_to_markdown(tsv_text: str) -> List[str]:
         header = body[0].split("\t")
         lines.append("| " + " | ".join(header) + " |")
         lines.append("|" + "|".join(["---"] * len(header)) + "|")
+        # a "|" in a cell, as a position id may hold, would split it
         for row in body[1:]:
-            lines.append("| " + " | ".join(row.split("\t")) + " |")
+            lines.append("| " + " | ".join(row.replace("|", "\\|").split("\t")) + " |")
     if notes:
         lines.append("")
         lines.extend(f"- {note}" for note in notes)

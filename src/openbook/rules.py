@@ -4,8 +4,15 @@ The board is a 0x88 mailbox: square index = 16 * rank + file, so off-board
 squares are detected with ``index & 0x88``. White pieces are uppercase
 letters, black lowercase. Positions are immutable values, and every public
 operation takes and returns them. Inside, a line of moves is replayed on one
-mutable ``_Board``: ``_Board.push`` makes a move in place, the SAN resolvers
-read the live board, and ``_Board.position`` freezes it into a Position.
+mutable ``_Board``: ``_Board.push`` makes a move in place and keeps the
+board's check flag and the FEN text of its ranks current, the SAN resolvers
+read the live board, ``_Board.key`` renders its position key (the one
+renderer: ``position_key`` builds a board to call it), and
+``_Board.position`` freezes it into a Position.
+
+Two tables indexed by the 0x88 difference of two squares (plus 119) tell
+whether they share a line and which pieces attack across it, so a move's
+check and an own piece's pin are found by walking one line.
 """
 
 from __future__ import annotations
@@ -64,6 +71,26 @@ _KING_STEPS = [_steps(sq, KING_OFFSETS) for sq in range(128)]
 _PIECE_RAYS = {"N": [tuple((s,) for s in steps) for steps in _KNIGHT_STEPS],
                "B": _BISHOP_RAYS, "R": _ROOK_RAYS, "Q": _QUEEN_RAYS,
                "K": [tuple((s,) for s in steps) for steps in _KING_STEPS]}
+
+
+def _line_tables() -> tuple:
+    """Two lists indexed by the 0x88 difference ``target - origin + 119`` of two
+    squares: the unit step from origin to target along their rank, file or
+    diagonal (0 if they share none), and the piece letters that attack target
+    from origin when nothing stands between them."""
+    step, attackers = [0] * 239, [""] * 239
+    for d in KING_OFFSETS:
+        sliders = "QqRr" if d in ROOK_DIRS else "QqBb"
+        for n in range(1, 8):
+            step[d * n + 119] = d
+            attackers[d * n + 119] = sliders
+        attackers[d + 119] += "Kk" + ("P" if d in (15, 17) else "p" if d in (-15, -17) else "")
+    for d in KNIGHT_OFFSETS:
+        attackers[d + 119] = "Nn"
+    return step, attackers
+
+
+_LINE_STEP, _ATTACKERS = _line_tables()
 
 A1, B1, C1, D1, E1, F1, G1, H1 = range(8)
 A8, B8, C8, D8, E8, F8, G8, H8 = range(112, 120)
@@ -135,9 +162,17 @@ _ROOK_RIGHT = {H1: "K", A1: "Q", H8: "k", A8: "q"}
 class _Board:
     """A mutable position: the fields of a Position, with ``squares`` a list
     of the 128 slots and ``white`` for ``turn``. ``push`` changes it in
-    place, so a line of moves is replayed without a copy per ply."""
+    place, so a line of moves is replayed without a copy per ply.
 
-    __slots__ = ("squares", "white", "castling", "ep", "halfmove", "fullmove", "kings")
+    ``push`` keeps two more things current. ``check`` is whether the side to
+    move is in check, found from the move just made; a board built from a
+    Position leaves it None until ``in_check`` first reads it. ``ranks``
+    holds the FEN placement text of each rank, rank 8 first, with None for
+    a rank that a move has touched since ``key`` last rendered it.
+    """
+
+    __slots__ = ("squares", "white", "castling", "ep", "halfmove", "fullmove", "kings",
+                 "check", "ranks")
 
     def __init__(self, p: Position):
         self.squares = list(p.board)
@@ -147,11 +182,43 @@ class _Board:
         self.halfmove = p.halfmove
         self.fullmove = p.fullmove
         self.kings = p.kings
+        self.check = None
+        self.ranks = [None] * 8
 
     def position(self) -> Position:
         """The position on the board now, frozen."""
         return Position(tuple(self.squares), WHITE if self.white else BLACK, self.castling,
                         self.ep, self.halfmove, self.fullmove, self.kings)
+
+    def in_check(self) -> bool:
+        """Whether the side to move is in check."""
+        check = self.check
+        if check is None:
+            white = self.white
+            check = self.check = _attacked(self.squares, self.kings[0] if white else self.kings[1],
+                                           not white)
+        return check
+
+    def key(self) -> str:
+        """Canonical transposition key of the board now: 4-field FEN with
+        normalized en passant.
+
+        The ep square is empty (parse_fen rejects an occupied one) and lies
+        on the third or sixth rank, so the only pawn moves ``_origins`` finds
+        onto it are en-passant captures; it is shown only if there is one.
+        """
+        ranks = self.ranks
+        if None in ranks:
+            board = self.squares
+            # rank 8 down to rank 1; ranks repeat far more often than placements
+            for i, text in enumerate(ranks):
+                if text is None:
+                    s = 112 - 16 * i
+                    ranks[i] = _rank_text(tuple(board[s:s + 8]))
+        ep = self.ep
+        ep_name = square_name(ep) if ep is not None and _origins(self, "P", ep, None) else "-"
+        turn = WHITE if self.white else BLACK
+        return f"{'/'.join(ranks)} {turn} {self.castling or '-'} {ep_name}"
 
     def push(self, m: Move) -> None:
         """Make a known-legal move in place. Callers must have validated legality."""
@@ -166,10 +233,33 @@ class _Board:
             board[t] = promotion if white else promotion.lower()
         else:
             board[t] = pc
+        # the piece that may give check directly: a king never can
+        checker = t
         if castle:
-            rook_from, rook_to = _CASTLE_ROOK[white, castle]
-            board[rook_to] = board[rook_from]
+            rook_from, checker = _CASTLE_ROOK[white, castle]
+            board[checker] = board[rook_from]
             board[rook_from] = None
+        # an en-passant victim and a castling rook stand on the rank of ``f``
+        ranks = self.ranks
+        ranks[7 - (f >> 4)] = ranks[7 - (t >> 4)] = None
+
+        # the opponent was not in check, so a check now comes from the piece
+        # that arrived or from a line through a square the move emptied; a
+        # castling rook leaves a corner, which lies between no two squares
+        king_sq = self.kings[1] if white else self.kings[0]
+        d = king_sq - checker + 119
+        check = False
+        if board[checker] in _ATTACKERS[d]:
+            step = _LINE_STEP[d]
+            if step:
+                s = checker + step
+                while board[s] is None:
+                    s += step
+                check = s == king_sq
+            else:
+                check = True  # a knight
+        self.check = (check or _attacks_through(board, king_sq, f, white) or en_passant
+                      and _attacks_through(board, king_sq, t + (-16 if white else 16), white))
 
         rights = self.castling
         if rights:
@@ -192,6 +282,22 @@ class _Board:
         elif pc == "k":
             self.kings = (self.kings[0], t)
         self.white = not white
+
+
+def _attacks_through(board, king_sq: int, sq: int, white: bool) -> bool:
+    """Whether the first piece past ``king_sq`` on the line through ``sq``,
+    taking ``sq`` as empty, is one of the given colour that attacks the king
+    along the line."""
+    step = _LINE_STEP[sq - king_sq + 119]
+    if not step:
+        return False
+    s = king_sq + step
+    while not s & 0x88:
+        pc = board[s]
+        if pc is not None and s != sq:
+            return pc.isupper() == white and pc in _ATTACKERS[king_sq - s + 119]
+        s += step
+    return False
 
 
 def _attacked(board, sq: int, by_white: bool) -> bool:
@@ -219,28 +325,6 @@ def _attacked(board, sq: int, by_white: bool) -> bool:
                         return True
                     break
     return False
-
-
-def _pinned_squares(board, king_sq: int, white: bool) -> set:
-    """Squares of own pieces absolutely pinned to the king."""
-    pinned = set()
-    for rays, sliders in ((_ROOK_RAYS[king_sq], ("r", "q") if white else ("R", "Q")),
-                          (_BISHOP_RAYS[king_sq], ("b", "q") if white else ("B", "Q"))):
-        for ray in rays:
-            blocker = None
-            for s in ray:
-                pc = board[s]
-                if pc is not None:
-                    if blocker is None:
-                        if pc.isupper() == white:
-                            blocker = s
-                        else:
-                            break
-                    else:
-                        if pc in sliders:
-                            pinned.add(blocker)
-                        break
-    return pinned
 
 
 def _pseudo_moves(p: Position):
@@ -331,17 +415,27 @@ def _leaves_king_safe(board: list, m: Move, white: bool, king_sq: int) -> bool:
     return ok
 
 
+def _legal(board: list, m: Move, white: bool, king_sq: int, in_check: bool) -> bool:
+    """Whether the pseudo-legal move ``m`` leaves the own king on ``king_sq``
+    safe. A king move, en passant or a move out of check is made and unmade;
+    any other move is unsafe only if it takes a pinned piece off the line
+    through the king."""
+    f = m.from_sq
+    if in_check or f == king_sq or m.en_passant:
+        return _leaves_king_safe(board, m, white, king_sq)
+    step = _LINE_STEP[f - king_sq + 119]
+    return (not step or _LINE_STEP[m.to_sq - king_sq + 119] == step
+            or not _attacks_through(board, king_sq, f, not white))
+
+
 def legal_moves(p: Position) -> list:
     """All legal moves in ``p`` under FIDE rules."""
     b = _Board(p)
     board = b.squares
     white = b.white
     king_sq = p.kings[0] if white else p.kings[1]
-    in_check = _attacked(board, king_sq, not white)
-    pinned = _pinned_squares(board, king_sq, white)
-    out = [m for m in _pseudo_moves(p)
-           if (not in_check and m.from_sq != king_sq and m.from_sq not in pinned
-               and not m.en_passant) or _leaves_king_safe(board, m, white, king_sq)]
+    in_check = b.in_check()
+    out = [m for m in _pseudo_moves(p) if _legal(board, m, white, king_sq, in_check)]
     return out + _castles(b)
 
 
@@ -371,16 +465,6 @@ def apply_move(p: Position, m: Move) -> Position:
     if m not in legal_moves(p):
         raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
     return _apply(p, m)
-
-
-def _canonical_ep(p: Position) -> Optional[int]:
-    """The en-passant target if some legal capture lands on it, else None.
-
-    The ep square is empty (parse_fen rejects an occupied one) and lies on
-    the third or sixth rank, so the only pawn moves ``_origins`` finds onto
-    it are en-passant captures.
-    """
-    return p.ep if p.ep is not None and _origins(_Board(p), "P", p.ep, None) else None
 
 
 def initial_position() -> Position:
@@ -486,12 +570,7 @@ def _rank_text(cells: tuple) -> str:
 
 def position_key(p: Position) -> str:
     """Canonical transposition key: 4-field FEN with normalized en passant."""
-    board = p.board
-    # rank 8 down to rank 1; ranks repeat far more often than placements
-    placement = "/".join([_rank_text(board[s:s + 8]) for s in range(112, -1, -16)])
-    ep = _canonical_ep(p)
-    return (f"{placement} {p.turn} {p.castling or '-'} "
-            f"{square_name(ep) if ep is not None else '-'}")
+    return _Board(p).key()
 
 
 def emit_fen(p: Position) -> str:
@@ -567,7 +646,8 @@ def _origins(b: _Board, piece: str, to_sq: int, promo: Optional[str]) -> list:
     if not moves:
         return moves
     king_sq = b.kings[0] if white else b.kings[1]
-    return [m for m in moves if _leaves_king_safe(board, m, white, king_sq)]
+    in_check = b.in_check()
+    return [m for m in moves if _legal(board, m, white, king_sq, in_check)]
 
 
 def _resolve(b: _Board, text: str):
@@ -599,13 +679,15 @@ def _resolve(b: _Board, text: str):
     return candidates[0], pool
 
 
-def _san(p: Position, m: Move, pool: list, successor: Position) -> str:
-    """Canonical SAN of the legal move ``m``; ``pool`` is as _resolve returns
-    it and ``successor`` is ``_apply(p, m)``, which gives the check suffix."""
+def _san(piece: str, m: Move, pool: list, b: _Board) -> str:
+    """Canonical SAN of the legal move ``m`` of ``piece`` (its letter, either
+    case), just made on the live board ``b``; ``pool`` is as _resolve returns
+    it. The check suffix comes from ``b.check``; only a check freezes the
+    position, for the mate test."""
     if m.castle:
         body = "O-O" if m.castle == "K" else "O-O-O"
     else:
-        piece = p.board[m.from_sq].upper()
+        piece = piece.upper()
         to_name = square_name(m.to_sq)
         if piece == "P":
             body = (FILES[m.from_sq & 7] + "x" if m.capture else "") + to_name
@@ -622,8 +704,8 @@ def _san(p: Position, m: Move, pool: list, successor: Position) -> str:
                 else:
                     disambig = square_name(m.from_sq)
             body = piece + disambig + ("x" if m.capture else "") + to_name
-    if is_check(successor):
-        body += "+" if _has_legal_move(successor) else "#"
+    if b.check:
+        body += "+" if _has_legal_move(b.position()) else "#"
     return body
 
 
@@ -641,7 +723,7 @@ def emit_san(p: Position, m: Move) -> str:
     if m not in pool:
         raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
     b.push(m)
-    return _san(p, m, pool, b.position())
+    return _san(piece, m, pool, b)
 
 
 def perft(p: Position, depth: int) -> int:

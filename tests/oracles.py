@@ -5,7 +5,7 @@ from typing import List
 
 from openbook.book import RankedMove
 from openbook.measures import MoveDistribution
-from openbook.rules import Position, _canonical_ep
+from openbook.rules import Position, legal_moves
 
 
 def ranked_from_counts(counts) -> List[RankedMove]:
@@ -33,6 +33,6 @@ def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:
 
 def normalize(p: Position) -> Position:
     """Drop a meaningless en-passant target (no legal capture onto it)."""
-    if _canonical_ep(p) != p.ep:
+    if p.ep is not None and not any(m.en_passant for m in legal_moves(p)):
         return p._replace(ep=None)
     return p

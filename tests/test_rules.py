@@ -437,6 +437,133 @@ def test_position_key_matches_brute_force():
     assert checks > 100
 
 
+# (position, a move in UCI that gives check): a castling rook, en passant
+# that bares a rank, en passant whose captured pawn bares a diagonal, an
+# under-promotion to a knight, a double check, and a king move that
+# uncovers a rook
+CHECKING_MOVES = [
+    ("5k2/8/8/8/8/8/8/4K2R w K - 0 1", "e1g1"),
+    ("8/8/8/k1pP3R/8/8/8/4K3 w - c6 0 1", "d5c6"),
+    ("6k1/8/8/3pP3/8/1B6/8/4K3 w - d6 0 1", "e5d6"),
+    ("8/4P1k1/8/8/8/8/8/K7 w - - 0 1", "e7e8n"),
+    ("4k3/8/8/8/4N3/8/8/4R1K1 w - - 0 1", "e4d6"),
+    ("8/8/8/8/R2K3k/8/8/8 w - - 0 1", "d4d5"),
+]
+
+
+@pytest.mark.parametrize("fen,uci", CHECKING_MOVES)
+def test_push_flags_each_kind_of_check(fen, uci):
+    p = parse_fen(fen)
+    b = rules._Board(p)
+    assert b.check is None
+    assert b.in_check() is False and b.check is False
+    b.push(next(m for m in legal_moves(p) if m.uci() == uci))
+    assert b.check is True and rules.is_check(b.position())
+    assert b.key() == position_key(b.position())
+
+
+def is_special(p, m):
+    """Castling, en passant, promotion or a double push."""
+    return bool(m.castle or m.en_passant or m.promotion
+                or abs(m.to_sq - m.from_sq) == 32 and p.board[m.from_sq] in ("P", "p"))
+
+
+def test_board_check_flag_and_key_follow_every_push():
+    """The check flag that push keeps equals is_check, and key() equals
+    position_key (a fresh board rendering every rank) and the brute-force
+    key, after every push of seeded walks that favour castling, en passant,
+    promotion and double pushes: so each push invalidates every rank text
+    it changes."""
+    rng = random.Random(15)
+    seen = {"castle": 0, "en_passant": 0, "promotion": 0, "check": 0, "plies": 0}
+    fens = ([rules.START_FEN] + [fen for fen, _ in TRICKY] + [fen for fen, _ in KEY_POSITIONS]
+            + [fen for fen, _ in CHECKING_MOVES])
+    for fen in fens:
+        for _ in range(10):
+            b = rules._Board(parse_fen(fen))
+            p = b.position()
+            assert b.key() == position_key(p)
+            for _ in range(80):
+                moves = legal_moves(p)
+                if not moves:
+                    break
+                special = [m for m in moves if is_special(p, m)]
+                m = rng.choice(special if special and rng.random() < 0.5 else moves)
+                b.push(m)
+                p = b.position()
+                assert b.check == rules.is_check(p), (fen, m.uci(), emit_fen(p))
+                assert b.key() == position_key(p) == brute_force_key(p), (fen, m.uci(),
+                                                                          emit_fen(p))
+                for kind in ("castle", "en_passant", "promotion"):
+                    seen[kind] += bool(getattr(m, kind))
+                seen["check"] += b.check
+                seen["plies"] += 1
+    assert min(seen.values()) >= 30, seen
+
+
+# own pieces on a line through their king: pinned and moving along the pin,
+# pinned and taking the pinner (a rook, a bishop, a pawn), shielded by an
+# own piece and by an enemy piece, pinned so that it cannot move, in check
+# with and without a pin, and en passant that would bare the king's rank
+PIN_POSITIONS = [
+    "4k3/4r3/8/8/8/8/4R3/4K3 w - - 0 1",
+    "7k/8/8/8/3b4/8/1B6/K7 w - - 0 1",
+    "4k3/8/8/8/8/2b5/3P4/4K3 w - - 0 1",
+    "4r2k/8/8/8/4N3/8/4B3/4K3 w - - 0 1",
+    "4r2k/8/8/4p3/8/8/4N3/4K3 w - - 0 1",
+    "4k3/4b3/8/8/8/8/8/4R1K1 b - - 0 1",
+    "4k3/8/8/8/8/3n4/8/R3K2R w KQ - 0 1",
+    "4k3/4r3/8/8/1b6/8/4R3/4K3 w - - 0 1",
+    "8/8/8/KPp4r/8/8/8/4k3 w - c6 0 1",
+]
+
+
+def brute_force_legal(p):
+    """The pseudo-legal moves after which, made on a copy, the mover's king
+    is not attacked; castling as legal_moves gives it."""
+    white = p.turn == rules.WHITE
+    out = []
+    for m in rules._pseudo_moves(p):
+        q = rules._apply(p, m)
+        if not rules._attacked(q.board, q.kings[0] if white else q.kings[1], not white):
+            out.append(m)
+    return out + [m for m in legal_moves(p) if m.castle]
+
+
+@pytest.mark.parametrize("fen", PIN_POSITIONS)
+def test_resolver_matches_brute_force_on_pins(fen):
+    """legal_moves, and _origins for each piece type and target square, give
+    exactly the moves that a make-and-test brute force finds, and SAN
+    resolution agrees with the brute-force oracle, on the pin positions and
+    a few plies after each."""
+    rng = random.Random(fen)
+    p = parse_fen(fen)
+    if fen.startswith("8/8/8/KPp4r"):
+        assert resolver_outcome(p, "bxc6") == "illegal"
+    for _ in range(6):
+        moves = brute_force_legal(p)
+        assert set(legal_moves(p)) == set(moves), emit_fen(p)
+        b = rules._Board(p)
+        last_rank = 7 if p.turn == rules.WHITE else 0
+        for piece in "PNBRQK":
+            for to_sq in rules.SQUARES:
+                promotes = piece == "P" and to_sq >> 4 == last_rank
+                promos = ("Q", "R", "B", "N") if promotes else (None,)
+                for promo in promos:
+                    expected = {m for m in moves if not m.castle and m.to_sq == to_sq
+                                and p.board[m.from_sq].upper() == piece and m.promotion == promo}
+                    assert set(rules._origins(b, piece, to_sq, promo)) == expected, (
+                        emit_fen(p), piece, rules.square_name(to_sq), promo)
+        assert b.position() == p
+        named = [(m, p.board[m.from_sq].upper(), rules.square_name(m.from_sq),
+                  rules.square_name(m.to_sq)) for m in moves]
+        for token in {t for m in moves + rules._pseudo_moves(p) for t in spellings(p, m)}:
+            assert resolver_outcome(p, token) == oracle_outcome(named, token), token
+        if not moves:
+            break
+        p = rules._apply(p, rng.choice(moves))
+
+
 def oracle_attacked(p, sq, by_white):
     """Brute force: with a dummy enemy knight on ``sq``, does some
     pseudo-legal capture of the given colour land there?"""

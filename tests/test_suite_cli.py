@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import xml.dom.minidom
 
 import pytest
 
@@ -549,6 +550,38 @@ class TestCliPlot:
         assert main(["plot", "--report", str(report_path), "--out", str(svg_path),
                      "--mark", "a"]) == 0
         assert svg_path.read_text().count('fill="red"') == 2  # the point and the arrow head
+
+    def test_ids_with_markup_characters_stay_whole(self, built_books, tmp_path):
+        """An id's "&", "<" and ">" are escaped in the SVG, and its "|" in
+        report.md, so both parse with one label and one cell per id."""
+        ids = ("R&D<1>", "a|b", "after-d4")
+        suite = tmp_path / "odd_ids.epd"
+        suite.write_text(
+            f'rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "{ids[0]}";\n'
+            f'rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - id "{ids[1]}";\n'
+            f'rnbqkbnr/pppppppp/8/8/3P4/8/PPP1PPPP/RNBQKBNR b KQkq - id "{ids[2]}";\n')
+        out_dir = str(tmp_path / "report")
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", str(suite), "--min-games", "1", "--bootstrap", "100",
+                     "--out", out_dir]) == 0
+        svg_path = tmp_path / "scatter.svg"
+        assert main(["plot", "--report", os.path.join(out_dir, "comparison.tsv"),
+                     "--out", str(svg_path), "--mark", ids[0]]) == 0
+        dom = xml.dom.minidom.parse(str(svg_path))
+        labels = [node.firstChild.data for node in dom.getElementsByTagName("text")]
+        assert set(ids) <= set(labels)
+
+        with open(os.path.join(out_dir, "report.md"), encoding="utf-8") as handle:
+            markdown = handle.read()
+        tables = [[line for line in block.splitlines() if line.startswith("|")]
+                  for block in markdown.split("## ")[1:]]
+        rows = 0
+        for table in tables:
+            widths = {len(re.split(r"(?<!\\)\|", line)) for line in table}
+            assert len(widths) == 1, table
+            rows += sum(line.startswith("| " + ids[1].replace("|", "\\|") + " |")
+                        for line in table)
+        assert rows == 2  # one row in each table
 
     def test_plot_without_defined_pairs_is_data_error(self, tmp_path, capsys):
         report_path = tmp_path / "empty.tsv"
