@@ -13,7 +13,7 @@ from .measures import (
     normalize_counts,
     overlap,
 )
-from .pgn import GameRecord, MalformedGame, ReplayError, filter_games, parse_pgn_stream
+from .pgn import GameRecord, MalformedGame, filter_games, parse_pgn_stream
 from .rules import (
     FenError,
     IllegalMoveError,

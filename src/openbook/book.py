@@ -1,9 +1,11 @@
 """Opening-book data model: build from games, persist, query ranked moves.
 
 A book maps canonical position keys (4-field FEN with normalized en
-passant) to per-move statistics, so transpositions aggregate. The file
-format is line oriented, sorted, and checksummed, which makes books
-diff-able and merge results bit-identical to sequential builds.
+passant) to per-move statistics, so transpositions aggregate. Building
+counts the keys and SANs that the one replay of each game in ``pgn``
+recorded. The file format is line oriented, sorted, and checksummed,
+which makes books diff-able and merge results bit-identical to
+sequential builds.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import os
 import re
 from typing import Iterable, List, NamedTuple
 
-from . import rules
-from .pgn import GameRecord, start_position
+from . import pgn
+from .pgn import GameRecord
 
 FORMAT_HEADER = "openbook-diff v1"
 
@@ -96,13 +98,11 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
     """Accumulate move statistics over the first ``max_depth`` plies of each game.
 
     Games with unknown results carry no score information and are skipped.
-    Each game is replayed from its FEN tag's position, if it has one, using
-    the moves its ``line`` resolved; a game whose moves do not all replay,
-    even past ``max_depth``, raises ``pgn.ReplayError``. Records that
-    ``parse_pgn_stream`` yields have already replayed. The recorded plies
-    are made on one mutable ``rules._Board``, which keys each position
-    (``_Board.key``) and whose check flag gives each SAN's check suffix, so
-    no Position is frozen per ply, only one per check for the mate test.
+    A game counts the ``plies`` that ``parse_pgn_stream`` recorded as it
+    replayed it, if they reach ``max_depth``. Any other game, such as one
+    built by hand, is replayed here, once, from its FEN tag's position if
+    it has one; a game whose moves do not all replay, even past
+    ``max_depth``, raises ValueError and adds nothing.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
@@ -112,14 +112,12 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
         tally = _RESULT_TALLY.get(game.result)
         if tally is None:
             continue
-        line = game.line
-        board = rules._Board(start_position(game.tags))
-        squares = board.squares
-        for move, pool in line[:max_depth]:
-            key = board.key()
-            piece = squares[move.from_sq]
-            board.push(move)
-            san = rules._san(piece, move, pool, board)
+        plies = game.plies
+        if plies is None or len(plies) < min(max_depth, len(game.moves)):
+            plies = pgn._replay(game.tags, game.moves, game.game_index, max_depth)
+            if isinstance(plies, pgn.MalformedGame):
+                raise ValueError(f"game {plies.game_index}: {plies.reason}")
+        for key, san in plies[:max_depth]:
             entry = counts.setdefault(key, {}).setdefault(san, [0, 0, 0, 0])
             entry[0] += 1
             entry[1] += tally[0]

@@ -81,11 +81,13 @@ def _listed_ids(text: str, option: str, known: set, where: str) -> List[str]:
     return ids
 
 
-def _parsed_games(paths: List[str], reports: List[MalformedGame]):
-    """The games of the PGN files, in order, as they are parsed; reports go
-    to ``reports``."""
+def _parsed_games(paths: List[str], reports: List[MalformedGame], max_depth: int,
+                  min_rating: Optional[int]):
+    """The games of the PGN files, in order, as they are parsed, each game
+    that passes the filter at ``min_rating`` with the plies it adds to a
+    book at ``max_depth``; reports go to ``reports``."""
     for path in paths:
-        for item in parse_pgn_stream(path):
+        for item in parse_pgn_stream(path, max_depth, min_rating):
             if isinstance(item, MalformedGame):
                 reports.append(item)
             else:
@@ -99,8 +101,8 @@ def cmd_build(args) -> int:
     reports: List[MalformedGame] = []
     # filtering follows parsing, so malformed games that the filter would
     # drop are still reported
-    built = book_mod.build_book(filter_games(_parsed_games(args.pgn, reports), args.min_rating),
-                                max_depth=args.depth,
+    games = _parsed_games(args.pgn, reports, args.depth, args.min_rating)
+    built = book_mod.build_book(filter_games(games, args.min_rating), max_depth=args.depth,
                                 source=args.source or "+".join(map(os.path.basename, args.pgn)))
     try:
         book_mod.save_book(built, args.out)
@@ -140,10 +142,11 @@ def cmd_compare(args) -> int:
                               resamples=args.bootstrap, seed=args.seed,
                               exclude=exclude)
     os.makedirs(args.out, exist_ok=True)
-    for name, render in (("comparison.tsv", report.render_comparison_tsv),
-                         ("expected_score.tsv", report.render_expected_tsv),
-                         ("report.md", report.render_markdown)):
-        book_mod.write_atomic(os.path.join(args.out, name), render(doc, args.precision))
+    comparison = report.render_comparison_tsv(doc, args.precision)
+    expected = report.render_expected_tsv(doc, args.precision)
+    for name, text in (("comparison.tsv", comparison), ("expected_score.tsv", expected),
+                       ("report.md", report.render_markdown(comparison, expected))):
+        book_mod.write_atomic(os.path.join(args.out, name), text)
     print(f"report written to {args.out}")
     if doc.metadata["undefined_cells"] != "0":
         print(f"undefined cells: {doc.metadata['undefined_cells']}")

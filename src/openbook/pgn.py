@@ -1,8 +1,11 @@
 """Streaming PGN ingestion.
 
-Parses a PGN file into replayable game records, keeping only the mainline.
-Comments, NAGs and recursive variations are dropped. Broken games are
-reported and skipped instead of aborting the stream.
+Parses a PGN file into game records, keeping only the mainline. Comments,
+NAGs and recursive variations are dropped. Each game is replayed once, on
+one mutable ``rules._Board``, as it is parsed: the replay validates every
+move and, for a game that will enter a book, keys and SANs its first plies
+on the way. Broken games are reported and skipped instead of aborting the
+stream.
 """
 
 from __future__ import annotations
@@ -22,33 +25,20 @@ _GLUED_NUMBER_RE = re.compile(r"^\d+\.+")
 _MOVETEXT_SPECIAL_RE = re.compile(r"[{}();]")
 
 
-class _GameFields(NamedTuple):
+class GameRecord(NamedTuple):
+    """One parsed game: tag pairs, mainline SAN tokens, result.
+
+    ``plies`` is what the game adds to a book: the position key and the
+    canonical SAN of each of its first plies, as many as the ``max_depth``
+    that parse_pgn_stream was given, if the game passes the filter there;
+    otherwise None.
+    """
+
     tags: dict
     moves: Tuple[str, ...]
     result: str  # one of RESULTS
     game_index: int = 0  # 1-based position in its PGN source; 0 if built by hand
-
-
-class GameRecord(_GameFields):
-    """One parsed game: tag pairs, mainline SAN tokens, result.
-
-    ``line`` is the game replayed from its start position: per ply, the
-    move and the pool ``rules._resolve`` returned with it (the legal moves
-    of its piece type onto its target square), which is what canonical SAN
-    needs. The replay resolves and makes every ply on one mutable
-    ``rules._Board`` and builds no Position per ply. The line is computed
-    on first use and kept outside the tuple, so equality ignores it;
-    parse_pgn_stream uses it to validate every record.
-    """
-
-    _line: Optional[tuple] = None
-
-    @property
-    def line(self) -> Tuple[Tuple[rules.Move, list], ...]:
-        """(move, pool) per ply; raises ReplayError if the moves do not replay."""
-        if self._line is None:
-            self._line = _replay(self)
-        return self._line
+    plies: Optional[Tuple[Tuple[str, str], ...]] = None
 
 
 class MalformedGame(NamedTuple):
@@ -59,14 +49,6 @@ class MalformedGame(NamedTuple):
     tags: dict
     move_index: Optional[int] = None
     fen: Optional[str] = None
-
-
-class ReplayError(ValueError):
-    """Raised by ``GameRecord.line`` for a game whose moves do not replay."""
-
-    def __init__(self, report: MalformedGame):
-        super().__init__(report.reason)
-        self.report = report
 
 
 def _decode(raw: bytes) -> str:
@@ -159,13 +141,18 @@ def _movetext_tokens(text: str):
     return tokens, result
 
 
-def parse_pgn_stream(source) -> Iterator[Union[GameRecord, MalformedGame]]:
+def parse_pgn_stream(source, max_depth: int = 0, min_rating: Optional[int] = None
+                     ) -> Iterator[Union[GameRecord, MalformedGame]]:
     """Yield games (or malformed-game reports) from a PGN source.
 
     ``source`` may be a path, a text file object, or an iterable of
     bytes/str lines. Parsing is single pass; memory is bounded per game.
     Movetext is stripped line by line as it arrives, so a tag line inside a
     brace comment is read as comment, and a brace inside a ";" comment is not.
+
+    Every game is replayed to its end, and one whose moves do not all
+    replay is reported. A game that filter_games would pass at
+    ``min_rating`` carries the ``plies`` of its first ``max_depth`` moves.
     """
     tags: dict = {}
     mainline: list = []
@@ -178,7 +165,7 @@ def parse_pgn_stream(source) -> Iterator[Union[GameRecord, MalformedGame]]:
         record = None
         if tags or seen_movetext:
             game_index += 1
-            record = _finish_game(tags, "".join(mainline), game_index)
+            record = _finish_game(tags, "".join(mainline), game_index, max_depth, min_rating)
         tags = {}
         mainline = []
         seen_movetext = False
@@ -209,62 +196,67 @@ def parse_pgn_stream(source) -> Iterator[Union[GameRecord, MalformedGame]]:
         yield result
 
 
-def _finish_game(tags: dict, movetext: str, game_index: int) -> Union[GameRecord, MalformedGame]:
+def _finish_game(tags: dict, movetext: str, game_index: int, max_depth: int = 0,
+                 min_rating: Optional[int] = None) -> Union[GameRecord, MalformedGame]:
     tokens, marker = _movetext_tokens(movetext)
     tag_result = tags.get("Result")
     if marker is not None and tag_result in RESULTS and tag_result != marker:
         return MalformedGame(game_index,
                              f"result tag {tag_result!r} contradicts marker {marker!r}",
                              tags=tags)
-    record = GameRecord(tags, tuple(tokens),
-                        marker or (tag_result if tag_result in RESULTS else "*"), game_index)
-    try:
-        record.line  # replays the game once and keeps what it resolved
-    except ReplayError as exc:
-        return exc.report
-    return record
+    result = marker or (tag_result if tag_result in RESULTS else "*")
+    # the filter reads only tags and the result, so it decides before the replay
+    recorded = max_depth > 0 and _passes(tags, result, min_rating)
+    plies = _replay(tags, tokens, game_index, max_depth if recorded else 0)
+    if isinstance(plies, MalformedGame):
+        return plies
+    return GameRecord(tags, tuple(tokens), result, game_index, plies if recorded else None)
 
 
-def _replay(game: GameRecord) -> tuple:
+def _replay(tags: dict, moves, game_index: int,
+            max_depth: int) -> Union[Tuple[Tuple[str, str], ...], MalformedGame]:
+    """Replay ``moves`` from the game's start position (its FEN tag's, else
+    the initial one), resolving and pushing each once on one
+    ``rules._Board``. Return the position key (before the push) and the
+    canonical SAN (after it) of each of the first ``max_depth`` plies, or
+    the MalformedGame that says where the replay failed."""
+    fen = tags.get("FEN")
     try:
-        pos = start_position(game.tags)
+        board = rules._Board(rules.parse_fen(fen) if fen else _INITIAL_POSITION)
     except rules.FenError as exc:
-        raise ReplayError(MalformedGame(game.game_index, f"bad FEN tag: {exc}",
-                                        tags=game.tags)) from None
-    board = rules._Board(pos)
-    line = []
-    for index, token in enumerate(game.moves):
+        return MalformedGame(game_index, f"bad FEN tag: {exc}", tags=tags)
+    plies = []
+    for index, token in enumerate(moves):
         try:
             move, pool = rules._resolve(board, token)
         except rules.IllegalMoveError as exc:
-            raise ReplayError(MalformedGame(game.game_index, str(exc), move_index=index,
-                                            fen=rules.emit_fen(board.position()),
-                                            tags=game.tags)) from None
-        line.append((move, pool))
-        board.push(move)
-    return tuple(line)
+            return MalformedGame(game_index, str(exc), move_index=index,
+                                 fen=rules.emit_fen(board.position()), tags=tags)
+        if index < max_depth:
+            key = board.key()
+            board.push(move)
+            plies.append((key, rules._san(move, pool, board)))
+        else:
+            board.push(move)
+    return tuple(plies)
 
 
 _INITIAL_POSITION = rules.initial_position()  # immutable, so every game shares it
 
 
-def start_position(tags: dict) -> rules.Position:
-    """The position a game starts from: its FEN tag's, else the initial one."""
-    fen = tags.get("FEN")
-    return rules.parse_fen(fen) if fen else _INITIAL_POSITION
+def _passes(tags: dict, result: str, min_rating: Optional[int]) -> bool:
+    """Whether a game enters a book: it has a known result and, when
+    ``min_rating`` is given, WhiteElo and BlackElo tags of ASCII digits at
+    or above it."""
+    # not int(), which takes "+2400", "2_400", " 2400" and "٢٤٠٠"
+    return result != "*" and (min_rating is None or all(
+        r.isascii() and r.isdigit() and int(r) >= min_rating
+        for r in (tags.get("WhiteElo", ""), tags.get("BlackElo", ""))))
 
 
 def filter_games(games: Iterable[GameRecord],
                  min_rating: Optional[int] = None) -> Iterator[GameRecord]:
-    """Pass through, in order, the games with a known result and, when
-    ``min_rating`` is given, WhiteElo and BlackElo tags of ASCII digits at
-    or above it."""
+    """Pass through, in order, the games that enter a book (``_passes``)."""
     for game in games:
-        if game.result == "*":
-            continue
-        if min_rating is not None:
-            ratings = (game.tags.get("WhiteElo", ""), game.tags.get("BlackElo", ""))
-            # not int(), which takes "+2400", "2_400", " 2400" and "٢٤٠٠"
-            if not all(r.isascii() and r.isdigit() and int(r) >= min_rating for r in ratings):
-                continue
-        yield game
+        if _passes(game.tags, game.result, min_rating):
+            yield game

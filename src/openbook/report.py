@@ -197,15 +197,16 @@ def _tsv_to_markdown(tsv_text: str) -> List[str]:
     return lines
 
 
-def render_markdown(doc: ReportDocument, precision: str = "3") -> str:
+def render_markdown(comparison_tsv: str, expected_tsv: str) -> str:
+    """The Markdown report laid out from the two rendered TSV texts."""
     lines = ["# Opening book comparison", ""]
     lines.append("## Per-position measures")
     lines.append("")
-    lines.extend(_tsv_to_markdown(render_comparison_tsv(doc, precision)))
+    lines.extend(_tsv_to_markdown(comparison_tsv))
     lines.append("")
     lines.append("## Expected percentage score")
     lines.append("")
-    lines.extend(_tsv_to_markdown(render_expected_tsv(doc, precision)))
+    lines.extend(_tsv_to_markdown(expected_tsv))
     return "\n".join(lines) + "\n"
 
 

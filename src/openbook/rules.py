@@ -6,8 +6,8 @@ letters, black lowercase. Positions are immutable values, and every public
 operation takes and returns them. Inside, a line of moves is replayed on one
 mutable ``_Board``: ``_Board.push`` makes a move in place and keeps the
 board's check flag and the FEN text of its ranks current, the SAN resolvers
-read the live board, ``_Board.key`` renders its position key (the one
-renderer: ``position_key`` builds a board to call it), and
+and the mate test read the live board, ``_Board.key`` renders its position
+key (the one renderer: ``position_key`` builds a board to call it), and
 ``_Board.position`` freezes it into a Position.
 
 Two tables indexed by the 0x88 difference of two squares (plus 119) tell
@@ -327,11 +327,13 @@ def _attacked(board, sq: int, by_white: bool) -> bool:
     return False
 
 
-def _pseudo_moves(p: Position):
-    board = p.board
-    white = p.turn == WHITE
-    moves = []
-    add = moves.append
+def _pseudo_moves(b: _Board):
+    """The pseudo-legal non-castling moves on the live board ``b``, a1 first,
+    made one at a time: a caller may make and unmake a move before it asks
+    for the next."""
+    board = b.squares
+    white = b.white
+    ep = b.ep
     fwd = 16 if white else -16
     start_rank = 1 if white else 6
     promo_rank = 7 if white else 0
@@ -345,12 +347,12 @@ def _pseudo_moves(p: Position):
             if not t & 0x88 and board[t] is None:
                 if t >> 4 == promo_rank:
                     for promo in "QRBN":
-                        add(Move(s, t, promotion=promo))
+                        yield Move(s, t, promotion=promo)
                 else:
-                    add(Move(s, t))
+                    yield Move(s, t)
                     t2 = t + fwd
                     if s >> 4 == start_rank and board[t2] is None:
-                        add(Move(s, t2))
+                        yield Move(s, t2)
             for d in (fwd - 1, fwd + 1):
                 t = s + d
                 if t & 0x88:
@@ -359,22 +361,21 @@ def _pseudo_moves(p: Position):
                 if target is not None and target.isupper() != white:
                     if t >> 4 == promo_rank:
                         for promo in "QRBN":
-                            add(Move(s, t, promotion=promo, capture=True))
+                            yield Move(s, t, promotion=promo, capture=True)
                     else:
-                        add(Move(s, t, capture=True))
-                elif target is None and p.ep == t:
-                    add(Move(s, t, capture=True, en_passant=True))
+                        yield Move(s, t, capture=True)
+                elif target is None and ep == t:
+                    yield Move(s, t, capture=True, en_passant=True)
         else:
             for ray in _PIECE_RAYS[kind][s]:
                 for t in ray:
                     target = board[t]
                     if target is None:
-                        add(Move(s, t))
+                        yield Move(s, t)
                     else:
                         if target.isupper() != white:
-                            add(Move(s, t, capture=True))
+                            yield Move(s, t, capture=True)
                         break
-    return moves
 
 
 # per side, True for white: (right, king target, rook square, squares that must
@@ -433,24 +434,20 @@ def legal_moves(p: Position) -> list:
     b = _Board(p)
     board = b.squares
     white = b.white
-    king_sq = p.kings[0] if white else p.kings[1]
+    king_sq = b.kings[0] if white else b.kings[1]
     in_check = b.in_check()
-    out = [m for m in _pseudo_moves(p) if _legal(board, m, white, king_sq, in_check)]
+    out = [m for m in _pseudo_moves(b) if _legal(board, m, white, king_sq, in_check)]
     return out + _castles(b)
 
 
-def _has_legal_move(p: Position) -> bool:
-    """Whether the side to move, which must be in check, has a legal move:
-    castling never is one, so the first pseudo-move leaving the king safe decides."""
-    board = list(p.board)
-    white = p.turn == WHITE
-    king_sq = p.kings[0] if white else p.kings[1]
-    return any(_leaves_king_safe(board, m, white, king_sq) for m in _pseudo_moves(p))
-
-
-def is_check(p: Position) -> bool:
-    white = p.turn == WHITE
-    return _attacked(p.board, p.kings[0] if white else p.kings[1], not white)
+def _has_legal_move(b: _Board) -> bool:
+    """Whether the side to move on the live board ``b``, which must be in
+    check, has a legal move: castling never is one, so the first pseudo-move
+    leaving the king safe decides. The board is left as it was."""
+    board = b.squares
+    white = b.white
+    king_sq = b.kings[0] if white else b.kings[1]
+    return any(_leaves_king_safe(board, m, white, king_sq) for m in _pseudo_moves(b))
 
 
 def _apply(p: Position, m: Move) -> Position:
@@ -679,15 +676,14 @@ def _resolve(b: _Board, text: str):
     return candidates[0], pool
 
 
-def _san(piece: str, m: Move, pool: list, b: _Board) -> str:
-    """Canonical SAN of the legal move ``m`` of ``piece`` (its letter, either
-    case), just made on the live board ``b``; ``pool`` is as _resolve returns
-    it. The check suffix comes from ``b.check``; only a check freezes the
-    position, for the mate test."""
+def _san(m: Move, pool: list, b: _Board) -> str:
+    """Canonical SAN of the legal move ``m``, just made on the live board
+    ``b``; ``pool`` is as _resolve returns it. The check suffix comes from
+    ``b.check``, and a check's mate test reads the board too."""
     if m.castle:
         body = "O-O" if m.castle == "K" else "O-O-O"
     else:
-        piece = piece.upper()
+        piece = "P" if m.promotion else b.squares[m.to_sq].upper()
         to_name = square_name(m.to_sq)
         if piece == "P":
             body = (FILES[m.from_sq & 7] + "x" if m.capture else "") + to_name
@@ -705,7 +701,7 @@ def _san(piece: str, m: Move, pool: list, b: _Board) -> str:
                     disambig = square_name(m.from_sq)
             body = piece + disambig + ("x" if m.capture else "") + to_name
     if b.check:
-        body += "+" if _has_legal_move(b.position()) else "#"
+        body += "+" if _has_legal_move(b) else "#"
     return body
 
 
@@ -723,7 +719,7 @@ def emit_san(p: Position, m: Move) -> str:
     if m not in pool:
         raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
     b.push(m)
-    return _san(piece, m, pool, b)
+    return _san(m, pool, b)
 
 
 def perft(p: Position, depth: int) -> int:

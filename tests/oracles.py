@@ -5,7 +5,7 @@ from typing import List
 
 from openbook.book import RankedMove
 from openbook.measures import MoveDistribution
-from openbook.rules import Position, legal_moves
+from openbook.rules import WHITE, Position, _attacked, legal_moves
 
 
 def ranked_from_counts(counts) -> List[RankedMove]:
@@ -36,3 +36,9 @@ def normalize(p: Position) -> Position:
     if p.ep is not None and not any(m.en_passant for m in legal_moves(p)):
         return p._replace(ep=None)
     return p
+
+
+def is_check(p: Position) -> bool:
+    """Whether the side to move is attacked on its king's square."""
+    white = p.turn == WHITE
+    return _attacked(p.board, p.kings[0] if white else p.kings[1], not white)

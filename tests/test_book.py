@@ -19,7 +19,7 @@ from openbook.book import (
     query,
     save_book,
 )
-from openbook.pgn import GameRecord, ReplayError
+from openbook.pgn import GameRecord, parse_pgn_stream
 
 
 START_KEY = rules.position_key(rules.initial_position())
@@ -79,17 +79,30 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_book([], max_depth=0)
 
+    def test_recorded_plies_serve_any_depth(self):
+        """A record parsed at one depth builds the book a hand-built record
+        builds at any depth: its plies are cut, or it is replayed."""
+        text = '[Result "1-0"]\n\n1. e4 e5 2. Nf3 Nc6 3. Bb5 1-0\n'
+        hand = game(["e4", "e5", "Nf3", "Nc6", "Bb5"], "1-0")
+        for parsed_at in (1, 3, 5, 8):
+            parsed = list(parse_pgn_stream(io.StringIO(text), max_depth=parsed_at))
+            assert len(parsed[0].plies) == min(parsed_at, 5)
+            for depth in (1, 3, 5, 8):
+                assert build_book(parsed, max_depth=depth) == build_book([hand], max_depth=depth)
+
     def test_replay_failure_reported_with_source_game_index(self):
         bad = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=7)
-        with pytest.raises(ReplayError) as err:
+        # the position after 1. e4, where Ke7 is the second move
+        with pytest.raises(ValueError, match=r"^game 7: illegal SAN 'Ke7' in "
+                                             r"rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b "):
             build_book([game(["d4"], "1-0"), bad], max_depth=4)
-        assert (err.value.report.game_index, err.value.report.move_index) == (7, 1)
 
     def test_illegal_token_past_depth_reported_and_not_recorded(self):
         bad = GameRecord({}, ("e4", "e5", "Ke7"), "1-0", game_index=3)
-        with pytest.raises(ReplayError) as err:
+        # the position after 1. e4 e5, where Ke7 is the third move
+        with pytest.raises(ValueError, match=r"^game 3: illegal SAN 'Ke7' in "
+                                             r"rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w "):
             build_book([bad, game(["d4"], "0-1")], max_depth=2)
-        assert (err.value.report.game_index, err.value.report.move_index) == (3, 2)
 
 
 class TestQuery:

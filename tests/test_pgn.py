@@ -1,16 +1,18 @@
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openbook import rules
+from openbook.book import build_book, load_book
+from openbook.cli import main
 from openbook.pgn import (
     NULL_MOVE_TOKENS,
     GameRecord,
     MalformedGame,
-    ReplayError,
     _finish_game,
     _strip_movetext,
     filter_games,
@@ -164,18 +166,25 @@ def test_brace_inside_semicolon_comment_keeps_next_game():
 
 
 def test_line_replays_moves_once_and_is_kept():
-    game = parse(SIMPLE)[0]
-    line = game.line
-    assert game.line is line
-    assert [move.uci() for move, _ in line] == ["e2e4", "e7e5", "g1f3"]
+    """The replay that validates a game keys and SANs its first plies, and
+    the record keeps them only if the game passes the filter."""
+    start = rules.initial_position()
+    after_e4 = rules._apply(start, rules.parse_san(start, "e4"))
+    game = next(parse_pgn_stream(io.StringIO(SIMPLE), max_depth=2))
+    assert game.plies == ((rules.position_key(start), "e4"),
+                          (rules.position_key(after_e4), "e5"))
+    assert game == parse(SIMPLE)[0]._replace(plies=game.plies)
+    assert parse(SIMPLE)[0].plies is None
+    assert next(parse_pgn_stream(io.StringIO(SIMPLE), 2, min_rating=1)).plies is None
+    assert next(parse_pgn_stream(io.StringIO(SIMPLE.replace('"1-0"', '"*"').replace(
+        " 1-0", " *")), 2)).plies is None
 
 
 def test_hand_built_record_replays_on_first_use():
     game = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=5)
-    with pytest.raises(ReplayError) as err:
-        game.line
-    assert (err.value.report.game_index, err.value.report.move_index) == (5, 1)
-    assert "4P3" in err.value.report.fen
+    with pytest.raises(ValueError, match=r"^game 5: illegal SAN 'Ke7' in "
+                                         r"rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b "):
+        build_book([game], max_depth=4)
 
 
 WALK_STARTS = [
@@ -188,27 +197,75 @@ WALK_STARTS = [
 ]
 
 
-def _reference_line(start, tokens):
-    """(move, pool) per token through parse_san, legal_moves and
-    _apply, one Position per ply."""
-    pos, line = start, []
-    for token in tokens:
-        move = rules.parse_san(pos, token)
-        legal = rules.legal_moves(pos)
-        if move.castle:
-            pool = [m for m in legal if m.castle]
-        else:
-            piece = pos.board[move.from_sq]
-            pool = [m for m in legal if not m.castle and m.to_sq == move.to_sq
-                    and m.promotion == move.promotion and pos.board[m.from_sq] == piece]
-        line.append((move, pool))
-        pos = rules._apply(pos, move)
-    return line
+def _spelled(pos, move, rng):
+    """A SAN token for ``move`` that the build must canonicalize: no check
+    suffix, and now and then the origin square written out in full."""
+    san = rules.emit_san(pos, move).rstrip("+#")
+    if move.castle or rng.random() < 0.6:
+        return san
+    piece = pos.board[move.from_sq].upper()
+    return ("" if piece == "P" else piece) + rules.square_name(move.from_sq) + (
+        "x" if move.capture else "") + rules.square_name(move.to_sq) + (
+        "=" + move.promotion if move.promotion else "")
 
 
-def test_line_matches_a_replay_through_parse_san_and_apply():
+def _reference_book(games, depth, kinds):
+    """Per key and SAN, [games, white wins, draws, black wins] over the first
+    ``depth`` plies of each (fen, tokens, result), replayed one Position per
+    ply through parse_san, emit_san, position_key and _apply; ``kinds``
+    counts the castles, en-passant captures, promotions, checks and mates
+    among those plies."""
+    counts = {}
+    for fen, tokens, result in games:
+        pos = rules.parse_fen(fen)
+        for token in tokens[:depth]:
+            move = rules.parse_san(pos, token)
+            san = rules.emit_san(pos, move)
+            entry = counts.setdefault(rules.position_key(pos), {}).setdefault(san, [0, 0, 0, 0])
+            entry[0] += 1
+            entry[1 + ("1-0", "1/2-1/2", "0-1").index(result)] += 1
+            kinds.update(kind for kind in ("castle", "en_passant", "promotion")
+                         if getattr(move, kind))
+            kinds.update({"+": ["check"], "#": ["check", "mate"]}.get(san[-1], []))
+            pos = rules._apply(pos, move)
+    return counts
+
+
+def test_book_matches_a_replay_through_the_public_api(tmp_path, capsys):
+    """Random legal walks, written as PGN and built by the CLI, give the book
+    that a replay through the public API counts; a game illegal past
+    --depth and an illegal game that the rating filter drops are reported
+    exactly and add nothing."""
     rng = random.Random(14)
-    kinds = set()
+    depth, min_rating = 30, 2000
+    kinds = Counter()
+    recorded, chunks, skipped = [], [], []
+
+    def add(fen, tokens, result, ratings):
+        """Write one game; return its index in the PGN."""
+        tags = {"Result": result, "WhiteElo": str(ratings[0]), "BlackElo": str(ratings[1])}
+        if fen != rules.START_FEN:
+            tags.update(SetUp="1", FEN=fen)
+        chunks.append("".join(f'[{k} "{v}"]\n' for k, v in tags.items()) + "\n"
+                      + " ".join(tokens + [result]) + "\n")
+        return len(chunks)
+
+    def add_legal(fen, tokens, result, ratings):
+        add(fen, tokens, result, ratings)
+        if result != "*" and min(ratings) >= min_rating:
+            recorded.append((fen, tokens, result))
+
+    def add_illegal(fen, tokens, ratings):
+        """Write a game whose last move, "a1", no pawn can make, and keep the
+        line that must report it."""
+        pos = rules.parse_fen(fen)
+        for token in tokens:
+            pos = rules._apply(pos, rules.parse_san(pos, token))
+        skipped.append(f"skipped game {add(fen, tokens + ['a1'], '1-0', ratings)}: "
+                       f"illegal SAN 'a1' in {rules.emit_fen(pos)}\n")
+
+    # fool's mate, so a mate is always among the recorded plies
+    add_legal(rules.START_FEN, ["f3", "e5", "g4", "Qh4"], "0-1", (2100, 2100))
     for walk in range(90):
         fen = WALK_STARTS[walk % len(WALK_STARTS)]
         pos, tokens = rules.parse_fen(fen), []
@@ -217,16 +274,29 @@ def test_line_matches_a_replay_through_parse_san_and_apply():
             if not moves:
                 break
             move = rng.choice(moves)
-            tokens.append(rules.emit_san(pos, move))
+            tokens.append(_spelled(pos, move, rng))
             pos = rules._apply(pos, move)
-        tags = {} if fen == rules.START_FEN else {"FEN": fen}
-        line = GameRecord(tags, tuple(tokens), "1-0").line
-        reference = _reference_line(rules.parse_fen(fen), tokens)
-        assert [move for move, _ in line] == [move for move, _ in reference]
-        assert [sorted(pool) for _, pool in line] == [sorted(pool) for _, pool in reference]
-        kinds.update(kind for move, _ in line
-                     for kind in ("castle", "en_passant", "promotion") if getattr(move, kind))
-    assert kinds == {"castle", "en_passant", "promotion"}
+        ratings = (rng.choice([1900, 2000, 2400]), rng.choice([2000, 2400]))
+        add_legal(fen, tokens, rng.choice(["1-0", "1/2-1/2", "0-1", "*"]), ratings)
+        if walk == 40:
+            # rated and finished, but illegal past --depth
+            assert len(tokens) > depth
+            add_illegal(fen, tokens[:depth + 3], (2400, 2400))
+        if walk == 50:
+            # dropped by the rating filter, yet still replayed and reported
+            add_illegal(fen, tokens[:3], (1500, 2400))
+
+    pgn = tmp_path / "walks.pgn"
+    pgn.write_text("\n".join(chunks))
+    out = tmp_path / "walks.book"
+    assert main(["build", "--pgn", str(pgn), "--out", str(out), "--depth", str(depth),
+                 "--min-rating", str(min_rating)]) == 0
+    assert capsys.readouterr().err == "".join(skipped)
+    book = load_book(str(out))
+    assert book.games == len(recorded) < len(chunks) - 2
+    assert {key: {san: list(s[1:]) for san, s in moves.items()}
+            for key, moves in book.positions.items()} == _reference_book(recorded, depth, kinds)
+    assert set(kinds) == {"castle", "en_passant", "promotion", "check", "mate"}, kinds
 
 
 def _reference_strip(text):

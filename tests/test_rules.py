@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from oracles import normalize
+from oracles import is_check, normalize
 from openbook import rules
 from openbook.rules import (
     AmbiguousSanError,
@@ -108,7 +108,7 @@ class TestLegalMoves:
     def test_stalemate_has_none(self):
         p = parse_fen("7k/5Q2/6K1/8/8/8/8/8 b - - 0 1")
         assert legal_moves(p) == []
-        assert not rules.is_check(p)
+        assert not is_check(p)
 
     def test_checkmate_has_none_and_is_check(self):
         # queen mate, back-rank mate, fool's mate
@@ -116,8 +116,8 @@ class TestLegalMoves:
                     "rnb1kbnr/pppp1ppp/8/4p3/6Pq/5P2/PPPPP2P/RNBQKBNR w KQkq - 1 3"):
             p = parse_fen(fen)
             assert legal_moves(p) == []
-            assert rules.is_check(p)
-            assert not rules._has_legal_move(p)
+            assert is_check(p)
+            assert not rules._has_legal_move(rules._Board(p))
 
     def test_pinned_piece_cannot_expose_king(self):
         # the e-file knight is pinned by the rook
@@ -313,7 +313,7 @@ def oracle_san(p, moves, m):
                 disambig = origin
             body = piece + disambig + ("x" if m.capture else "") + target
     after = rules._apply(p, m)
-    if rules.is_check(after):
+    if is_check(after):
         body += "+" if legal_moves(after) else "#"
     return body
 
@@ -369,7 +369,8 @@ def test_resolver_matches_brute_force_oracle(fen):
         # moves into check, which the resolver must reject as well
         named = [(m, p.board[m.from_sq].upper(), rules.square_name(m.from_sq),
                   rules.square_name(m.to_sq)) for m in moves]
-        tokens = {t for m in moves + rules._pseudo_moves(p) for t in spellings(p, m)}
+        pseudo = list(rules._pseudo_moves(rules._Board(p)))
+        tokens = {t for m in moves + pseudo for t in spellings(p, m)}
         for token in tokens | {"O-O", "O-O-O"}:
             assert resolver_outcome(p, token) == oracle_outcome(named, token), token
         p = rules._apply(p, rng.choice(moves))
@@ -423,9 +424,9 @@ def test_position_key_matches_brute_force():
                     ep_shown.append(key.split()[3] != "-")
                 assert p.kings == (p.board.index("K"), p.board.index("k"))
                 moves = legal_moves(p)
-                if rules.is_check(p):
+                if is_check(p):
                     checks += 1
-                    assert rules._has_legal_move(p) == bool(moves)
+                    assert rules._has_legal_move(rules._Board(p)) == bool(moves)
                 if not moves:
                     break
                 # favour double pushes and en passant so both outcomes occur often
@@ -458,7 +459,7 @@ def test_push_flags_each_kind_of_check(fen, uci):
     assert b.check is None
     assert b.in_check() is False and b.check is False
     b.push(next(m for m in legal_moves(p) if m.uci() == uci))
-    assert b.check is True and rules.is_check(b.position())
+    assert b.check is True and is_check(b.position())
     assert b.key() == position_key(b.position())
 
 
@@ -491,7 +492,7 @@ def test_board_check_flag_and_key_follow_every_push():
                 m = rng.choice(special if special and rng.random() < 0.5 else moves)
                 b.push(m)
                 p = b.position()
-                assert b.check == rules.is_check(p), (fen, m.uci(), emit_fen(p))
+                assert b.check == is_check(p), (fen, m.uci(), emit_fen(p))
                 assert b.key() == position_key(p) == brute_force_key(p), (fen, m.uci(),
                                                                           emit_fen(p))
                 for kind in ("castle", "en_passant", "promotion"):
@@ -499,6 +500,43 @@ def test_board_check_flag_and_key_follow_every_push():
                 seen["check"] += b.check
                 seen["plies"] += 1
     assert min(seen.values()) >= 30, seen
+
+
+def board_state(b):
+    return (list(b.squares), b.kings, b.check, list(b.ranks), b.castling, b.ep,
+            b.white, b.halfmove, b.fullmove)
+
+
+def test_mate_test_reads_the_live_board_and_leaves_it_as_it_was():
+    """On live boards in check, reached by push along seeded walks that
+    favour checks, _has_legal_move agrees with legal_moves and leaves the
+    squares, kings, check flag, rank texts, castling rights and ep as it
+    found them."""
+    rng = random.Random(16)
+    checks = mates = 0
+    # two positions whose only check mates: a back-rank mate and fool's mate
+    fens = ([rules.START_FEN, "6k1/5ppp/8/8/8/8/8/R5K1 w - - 0 1",
+             "rnbqkbnr/pppp1ppp/8/4p3/6P1/5P2/PPPPP2P/RNBQKBNR b KQkq - 0 2"]
+            + [fen for fen, _ in TRICKY] + [fen for fen, _ in CHECKING_MOVES])
+    for fen in fens:
+        for _ in range(6):
+            b = rules._Board(parse_fen(fen))
+            for _ in range(60):
+                p = b.position()
+                moves = legal_moves(p)
+                if b.in_check():
+                    checks += 1
+                    mates += not moves
+                    before = board_state(b)
+                    assert rules._has_legal_move(b) == bool(moves), emit_fen(p)
+                    assert board_state(b) == before, emit_fen(p)
+                if not moves:
+                    break
+                if rng.random() < 0.5:
+                    b.key()  # so some rank texts are rendered and some are stale
+                checking = [m for m in moves if emit_san(p, m)[-1] in "+#"]
+                b.push(rng.choice(checking if checking and rng.random() < 0.5 else moves))
+    assert checks > 100 and mates > 5, (checks, mates)
 
 
 # own pieces on a line through their king: pinned and moving along the pin,
@@ -523,7 +561,7 @@ def brute_force_legal(p):
     is not attacked; castling as legal_moves gives it."""
     white = p.turn == rules.WHITE
     out = []
-    for m in rules._pseudo_moves(p):
+    for m in rules._pseudo_moves(rules._Board(p)):
         q = rules._apply(p, m)
         if not rules._attacked(q.board, q.kings[0] if white else q.kings[1], not white):
             out.append(m)
@@ -557,7 +595,8 @@ def test_resolver_matches_brute_force_on_pins(fen):
         assert b.position() == p
         named = [(m, p.board[m.from_sq].upper(), rules.square_name(m.from_sq),
                   rules.square_name(m.to_sq)) for m in moves]
-        for token in {t for m in moves + rules._pseudo_moves(p) for t in spellings(p, m)}:
+        pseudo = list(rules._pseudo_moves(rules._Board(p)))
+        for token in {t for m in moves + pseudo for t in spellings(p, m)}:
             assert resolver_outcome(p, token) == oracle_outcome(named, token), token
         if not moves:
             break
@@ -572,7 +611,7 @@ def oracle_attacked(p, sq, by_white):
     # pseudo-move generation does not read the king squares
     q = rules.Position(tuple(board), rules.WHITE if by_white else rules.BLACK,
                        "", None, 0, 1, p.kings)
-    return any(m.to_sq == sq and m.capture for m in rules._pseudo_moves(q))
+    return any(m.to_sq == sq and m.capture for m in rules._pseudo_moves(rules._Board(q)))
 
 
 @pytest.mark.parametrize("fen", [rules.START_FEN] + [fen for fen, _ in TRICKY])
