@@ -5,7 +5,7 @@ passant) to per-move statistics, so transpositions aggregate. Building
 counts the keys and SANs that the one replay of each game in ``pgn``
 recorded. The file format is line oriented, sorted, and checksummed,
 which makes books diff-able and merge results bit-identical to
-sequential builds.
+sequential builds. Loading checks a file in one pass over its lines.
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ FORMAT_HEADER = "openbook-diff v1"
 _COUNT = "(?:0|[1-9][0-9]*)"  # an integer as str() writes it
 _META_RE = re.compile(
     f"meta source=(.*) games=({_COUNT}) positions=({_COUNT}) depth=({_COUNT})")
-# what _serialize writes after the meta line: ``pos`` lines, each followed
-# by its ``mv`` lines. A match stops at the start of the first line that
-# breaks this form.
-_BODY_RE = re.compile(
-    f"(?:pos [ -~]+\n(?:mv [!-~]+ [1-9][0-9]* {_COUNT} {_COUNT} {_COUNT}\n)*)*")
-_MATCH_SLICE = 32768  # characters of a book matched at a time, at least
 
 
 class BookFormatError(ValueError):
@@ -203,24 +197,20 @@ def save_book(book: Book, sink) -> None:
         sink.write(text.encode("utf-8"))
 
 
-def _line_error(number: int, line: str, after_pos: bool) -> BookFormatError:
-    """The error for the first line after the meta line that _BODY_RE refuses."""
-    if line.startswith("pos "):
-        return BookFormatError(f"line {number}: bad pos line {line!r}")
-    if not line.startswith("mv "):
-        return BookFormatError(f"line {number}: unexpected line {line!r}")
-    if not after_pos:
-        return BookFormatError(f"line {number}: mv line before any pos line")
-    parts = line.split(" ")
-    if len(parts) != 6 or "" in parts or not all(part.isprintable() for part in parts):
-        return BookFormatError(f"line {number}: bad mv line {line!r}")
+def _counts(number: int, line: str, text: str) -> tuple:
+    """The four counts in ``text``, the end of mv line ``number``, if save_book wrote them."""
+    parts = text.split(" ")
+    if len(parts) != 4 or "" in parts or not text.isprintable():
+        raise BookFormatError(f"line {number}: bad mv line {line!r}")
     try:
-        games, wins, draws, losses = (int(x) for x in parts[2:])
+        counts = games, wins, draws, losses = tuple(int(x) for x in parts)
     except ValueError:
-        return BookFormatError(f"line {number}: non-integer counts in {line!r}")
+        raise BookFormatError(f"line {number}: non-integer counts in {line!r}") from None
     if games != wins + draws + losses or min(wins, draws, losses) < 0 or games < 1:
-        return BookFormatError(f"line {number}: bad counts in {line!r}")
-    return BookFormatError(f"line {number}: non-canonical counts in {line!r}")
+        raise BookFormatError(f"line {number}: bad counts in {line!r}")
+    if " ".join(map(str, counts)) != text:
+        raise BookFormatError(f"line {number}: non-canonical counts in {line!r}")
+    return counts
 
 
 def load_book(source, keys=None) -> Book:
@@ -230,7 +220,10 @@ def load_book(source, keys=None) -> Book:
     checksum, the header and meta lines, that every later line has the
     exact form save_book writes (canonical integers, single spaces, games
     >= 1, positions and moves in save_book's order, each once), that each
-    move's results add up to its games, and the meta position count.
+    move's results add up to its games, and the meta position count. One
+    pass over the lines after the meta line makes these checks and raises
+    the error of the first line that fails one. Moves at many positions
+    share the same counts, so each distinct counts text is checked once.
 
     With ``keys``, a collection of position keys, only the positions among
     them are built: the result is a read-only view for ``query``, whose
@@ -275,50 +268,44 @@ def load_book(source, keys=None) -> Book:
         raise BookFormatError("non-ASCII text after line 2")
     source_text, games, position_count, depth = meta.groups()
     book = Book(depth=int(depth), source=source_text, games=int(games), positions={})
-    # match a slice at a time, each starting at a pos line, so the
-    # matcher's backtracking stack stays small; stop at the first slice
-    # that does not match to its end
-    stop = cut = start
-    while stop == cut < end:
-        cut = text.find("\npos ", stop + _MATCH_SLICE, end) + 1 or end
-        stop = _BODY_RE.match(text, stop, cut).end()
-    matched = text.count("\n", start, stop)
-    # the lines up to ``stop`` have save_book's form; what is left to check
-    # is their order, duplicates and sums
     positions = book.positions
+    valid_counts: dict = {}  # counts text -> its counts, for texts that passed
     count = 0
-    key = moves = seen = last_games = last_san = None
-    for number, line in enumerate(lines[2:2 + matched], start=3):
-        if line[0] == "p":
+    key = seen = None
+    for number, line in enumerate(lines[2:-1], start=3):
+        if line[:4] == "pos ":
             previous, key = key, line[4:]
+            if not key or not key.isprintable():  # "".isprintable() is True
+                raise BookFormatError(f"line {number}: bad pos line {line!r}")
             if count and key <= previous:
                 raise BookFormatError(f"line {number}: duplicate position {key!r}"
                                       if key == previous else
                                       f"line {number}: position {key!r} out of order")
             count += 1
+            moves, seen, last = None, set(), ()
             if keys is None or key in keys:
                 moves = positions[key] = {}
-            else:
-                moves = None
-            seen = set()
-            last_games = None
             continue
-        _, san, games_n, wins, draws, losses = line.split(" ")
-        games_n, wins, draws, losses = int(games_n), int(wins), int(draws), int(losses)
-        if games_n != wins + draws + losses:
-            raise BookFormatError(f"line {number}: bad counts in {line!r}")
+        if line[:3] != "mv ":
+            raise BookFormatError(f"line {number}: unexpected line {line!r}")
+        if seen is None:
+            raise BookFormatError(f"line {number}: mv line before any pos line")
+        san, _, counts_text = line[3:].partition(" ")
+        if not san or not san.isprintable():
+            raise BookFormatError(f"line {number}: bad mv line {line!r}")
+        counts = valid_counts.get(counts_text)
+        if counts is None:
+            counts = valid_counts[counts_text] = _counts(number, line, counts_text)
         if san in seen:
             raise BookFormatError(f"line {number}: duplicate move {san!r}")
         seen.add(san)
-        # save_book writes the most played moves first, ties by SAN
-        if last_games is not None and (games_n > last_games or
-                                       games_n == last_games and san < last_san):
+        # save_book writes the most played moves first, ties by SAN; () ranks first
+        rank = -counts[0], san
+        if rank < last:
             raise BookFormatError(f"line {number}: move {san!r} out of order")
-        last_games, last_san = games_n, san
+        last = rank
         if moves is not None:
-            moves[san] = MoveStats(san, games_n, wins, draws, losses)
-    if stop != end:
-        raise _line_error(3 + matched, lines[2 + matched], count > 0)
+            moves[san] = MoveStats(san, *counts)
     if count != int(position_count):
         raise BookFormatError(f"meta positions={position_count} but file has {count}")
     return book

@@ -62,6 +62,14 @@ def _load_book(path: str, keys) -> book_mod.Book:
         raise DataError(f"bad book file {path}: {exc}")
 
 
+def _write(path: str, text: str) -> None:
+    """write_atomic, with an error that names ``path``, not the temp file beside it."""
+    try:
+        book_mod.write_atomic(path, text)
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _parse_position(args) -> rules.Position:
     try:
         if args.fen is not None:
@@ -81,15 +89,15 @@ def _listed_ids(text: str, option: str, known: set, where: str) -> List[str]:
     return ids
 
 
-def _parsed_games(paths: List[str], reports: List[MalformedGame], max_depth: int,
+def _parsed_games(paths: List[str], reports: List[str], max_depth: int,
                   min_rating: Optional[int]):
     """The games of the PGN files, in order, as they are parsed, each game
     that passes the filter at ``min_rating`` with the plies it adds to a
-    book at ``max_depth``; reports go to ``reports``."""
+    book at ``max_depth``; skip lines, naming the file, go to ``reports``."""
     for path in paths:
         for item in parse_pgn_stream(path, max_depth, min_rating):
             if isinstance(item, MalformedGame):
-                reports.append(item)
+                reports.append(f"skipped game {item.game_index}: {path}: {item.reason}")
             else:
                 yield item
 
@@ -98,7 +106,7 @@ def cmd_build(args) -> int:
     for path in args.pgn:
         if not os.path.exists(path):
             raise DataError(f"cannot read PGN {path}: no such file")
-    reports: List[MalformedGame] = []
+    reports: List[str] = []
     # filtering follows parsing, so malformed games that the filter would
     # drop are still reported
     games = _parsed_games(args.pgn, reports, args.depth, args.min_rating)
@@ -108,8 +116,10 @@ def cmd_build(args) -> int:
         book_mod.save_book(built, args.out)
     except book_mod.BookFormatError as exc:
         raise DataError(f"cannot write book {args.out}: {exc}")
-    for item in reports:
-        print(f"skipped game {item.game_index}: {item.reason}", file=sys.stderr)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc.strerror or exc}")
+    for line in reports:
+        print(line, file=sys.stderr)
     print(f"book written to {args.out}")
     print(f"games={built.games} positions={built.position_count} depth={built.depth}")
     return EXIT_OK
@@ -146,7 +156,7 @@ def cmd_compare(args) -> int:
     expected = report.render_expected_tsv(doc, args.precision)
     for name, text in (("comparison.tsv", comparison), ("expected_score.tsv", expected),
                        ("report.md", report.render_markdown(comparison, expected))):
-        book_mod.write_atomic(os.path.join(args.out, name), text)
+        _write(os.path.join(args.out, name), text)
     print(f"report written to {args.out}")
     if doc.metadata["undefined_cells"] != "0":
         print(f"undefined cells: {doc.metadata['undefined_cells']}")
@@ -171,7 +181,7 @@ def cmd_plot(args) -> int:
         svg = plot.scatter_svg(points, marked)
     except plot.PlotError as exc:
         raise DataError(str(exc))
-    book_mod.write_atomic(args.out, svg)
+    _write(args.out, svg)
     print(f"plot written to {args.out}")
     return EXIT_OK
 

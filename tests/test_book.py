@@ -6,7 +6,6 @@ import random
 import pytest
 
 from oracles import ranked_from_counts
-from openbook import book as book_mod
 from openbook import rules
 from openbook.book import (
     Book,
@@ -270,6 +269,11 @@ MALFORMED = [
     (7, "mv e4 4 1 1 1", "line 7: bad counts"),
     (7, "mv e4 0 0 0 0", "line 7: bad counts"),
     (7, "mv e4 1 2 0 -1", "line 7: bad counts"),
+    (7, "mv  3 1 1 1", "line 7: bad mv line"),
+    (7, "mv e4 3 1 1 1\r", "line 7: bad mv line"),
+    (7, "mv e\x7f4 3 1 1 1", "line 7: bad mv line"),
+    # counts checked once at line 5; the SAN is still checked here
+    (8, "mv d\t4 1 0 0 1", "line 8: bad mv line"),
     (8, "mv e4 1 1 0 0", "line 8: duplicate move 'e4'"),
     (8, "mv a4 3 1 1 1", "line 8: move 'a4' out of order"),
     (8, "mv d4 4 1 1 2", "line 8: move 'd4' out of order"),
@@ -277,6 +281,9 @@ MALFORMED = [
     (6, "pos 4k3/8/8/8/8/8/8/4K3 w - -",
      "line 6: position '4k3/8/8/8/8/8/8/4K3 w - -' out of order"),
     (6, "pos a\tb", "line 6: bad pos line"),
+    (6, "pos ", "line 6: bad pos line"),
+    (6, f"pos {SECOND}\r", "line 6: bad pos line"),
+    (6, "pos a\x7fb", "line 6: bad pos line"),
     (6, "", "line 6: unexpected line"),
     (3, "mv e5 1 1 0 0", "line 3: mv line before any pos line"),
     (2, "meta source=s games=4 positions=3 depth=2", "meta positions=3 but file has 2"),
@@ -303,18 +310,17 @@ class TestKeys:
         assert len(errors) == 1
         assert errors.pop().startswith(message)
 
-    def test_defects_found_on_both_sides_of_a_match_slice(self):
-        # the shape check matches about book._MATCH_SLICE characters at a
-        # time; lines just before, at and after a slice's start still count
+    def test_defects_found_anywhere_in_a_large_book(self):
+        # every line gets the same counts, so all but the first mv line
+        # reuse checked counts; a defect must still be found wherever it is
         lines = ["openbook-diff v1", "meta source=s games=1 positions=4000 depth=2"]
         for i in range(4000):
             lines += [f"pos k{i:05d}", "mv e4 1 1 0 0"]
         text = "\n".join(lines) + "\n"
-        cut = text.find("\npos ", text.index("pos ") + book_mod._MATCH_SLICE) + 1
-        first = text.count("\n", 0, cut) + 1  # the number of a slice's first line
         load_book(io.StringIO(signed(text)), set())
-        for number in [4, first - 2, first - 1, first, first + 1, len(lines)]:
-            for edit, message in (("junk", "unexpected line"), ("mv e4 2 1 0 0", "bad counts")):
+        for number in [4, 3999, 4000, 4001, len(lines)]:
+            for edit, message in (("junk", "unexpected line"), ("mv e4 2 1 0 0", "bad counts"),
+                                  ("mv \x7f 1 1 0 0", "bad mv line")):
                 broken = list(lines)
                 broken[number - 1] = edit
                 with pytest.raises(BookFormatError, match=f"^line {number}: {message}"):

@@ -240,6 +240,7 @@ def test_book_matches_a_replay_through_the_public_api(tmp_path, capsys):
     depth, min_rating = 30, 2000
     kinds = Counter()
     recorded, chunks, skipped = [], [], []
+    pgn = tmp_path / "walks.pgn"
 
     def add(fen, tokens, result, ratings):
         """Write one game; return its index in the PGN."""
@@ -261,7 +262,7 @@ def test_book_matches_a_replay_through_the_public_api(tmp_path, capsys):
         pos = rules.parse_fen(fen)
         for token in tokens:
             pos = rules._apply(pos, rules.parse_san(pos, token))
-        skipped.append(f"skipped game {add(fen, tokens + ['a1'], '1-0', ratings)}: "
+        skipped.append(f"skipped game {add(fen, tokens + ['a1'], '1-0', ratings)}: {pgn}: "
                        f"illegal SAN 'a1' in {rules.emit_fen(pos)}\n")
 
     # fool's mate, so a mate is always among the recorded plies
@@ -286,7 +287,6 @@ def test_book_matches_a_replay_through_the_public_api(tmp_path, capsys):
             # dropped by the rating filter, yet still replayed and reported
             add_illegal(fen, tokens[:3], (1500, 2400))
 
-    pgn = tmp_path / "walks.pgn"
     pgn.write_text("\n".join(chunks))
     out = tmp_path / "walks.book"
     assert main(["build", "--pgn", str(pgn), "--out", str(out), "--depth", str(depth),

@@ -124,7 +124,7 @@ class TestCliBuild:
                        '1. Kd2 1-0\n\n[Result "0-1"]\n\n1. e4 0-1\n', encoding="utf-8")
         out = tmp_path / "o.book"
         assert main(["build", "--pgn", str(pgn), "--out", str(out)]) == 0
-        assert "skipped game 1: bad FEN tag" in capsys.readouterr().err
+        assert f"skipped game 1: {pgn}: bad FEN tag" in capsys.readouterr().err
         from openbook.book import load_book
         book = load_book(str(out))
         assert book.games == 1
@@ -162,18 +162,20 @@ class TestCliBuild:
             + f"\n{moves} {result}\n" for result, fen, moves in games))
         assert main(["build", "--pgn", str(pgn), "--out", str(tmp_path / "o.book")]) == 0
         assert capsys.readouterr().err.splitlines() == [
-            "skipped game 1: illegal SAN 'Kd1' in "
+            f"skipped game 1: {pgn}: illegal SAN 'Kd1' in "
             "r1bq1rk1/pppp1ppp/2n2n2/2b1p3/2B1P3/5N2/PPPP1PPP/RNBQR1K1 w - - 8 6",
-            "skipped game 2: illegal SAN 'Kd7' in "
+            f"skipped game 2: {pgn}: illegal SAN 'Kd7' in "
             "r1bqkbnr/pppp1ppp/2n5/8/3NP3/8/PPP2PPP/RNBQKB1R b KQkq - 0 4",
-            "skipped game 3: illegal SAN 'Ke3' in "
+            f"skipped game 3: {pgn}: illegal SAN 'Ke3' in "
             "rnbqkb1r/ppp1pppp/5n2/3pP3/8/8/PPPP1PPP/RNBQKBNR w KQkq d6 0 3",
-            "skipped game 4: illegal SAN 'Ke5' in "
+            f"skipped game 4: {pgn}: illegal SAN 'Ke5' in "
             "rnbqkb1r/pppppppp/5n2/8/4P3/5N2/PPPP1PPP/RNBQKB1R b KQkq - 0 2",
-            "skipped game 5: illegal SAN 'Ke7' in "
+            f"skipped game 5: {pgn}: illegal SAN 'Ke7' in "
             "Qn1qkb1r/p2bpppp/5n2/8/8/8/PPPP1PPP/RNBQKBNR b KQk - 0 5",
-            "skipped game 6: illegal SAN 'Kd3' in 8/8/3p4/KPp4r/1R3p1k/8/4P1P1/8 w - - 0 42",
-            "skipped game 7: illegal SAN 'Ke2' in N4rk1/8/8/8/8/8/3K4/R6q b - - 0 32",
+            f"skipped game 6: {pgn}: illegal SAN 'Kd3' in "
+            "8/8/3p4/KPp4r/1R3p1k/8/4P1P1/8 w - - 0 42",
+            f"skipped game 7: {pgn}: illegal SAN 'Ke2' in "
+            "N4rk1/8/8/8/8/8/3K4/R6q b - - 0 32",
         ]
 
     @pytest.mark.parametrize("value", INT_LOOKALIKES)
@@ -219,6 +221,23 @@ class TestCliBuild:
                      "--depth", "6", "--min-rating", "2000"]) == 0
         assert len(calls) == expected
         assert "skipped game 5:" in capsys.readouterr().err
+
+    def test_skip_line_names_the_file_of_its_game(self, tmp_path, pb_mini_path, capsys):
+        broken = tmp_path / "broken.pgn"
+        broken.write_text('[Result "1-0"]\n\n1. e4 Ke3 1-0\n')
+        assert main(["build", "--pgn", pb_mini_path, str(broken),
+                     "--out", str(tmp_path / "o.book")]) == 0
+        assert capsys.readouterr().err == (
+            f"skipped game 1: {broken}: illegal SAN 'Ke3' in "
+            "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1\n")
+
+    def test_unwritable_out_names_the_path_asked_for(self, tmp_path, pb_mini_path, capsys):
+        out = tmp_path / "missing" / "o.book"
+        assert main(["build", "--pgn", pb_mini_path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"openbook: cannot write {out}: ")
+        assert ".openbook-" not in err
+        assert os.listdir(tmp_path) == []
 
     def test_repeated_pgn_flags_read_every_file(self, tmp_path, pb_mini_path,
                                                 comp_mini_path):
@@ -371,6 +390,20 @@ class TestCliCompare:
         out_dir = self.run_compare(built_books, suite3_path, tmp_path)
         for name in ("comparison.tsv", "expected_score.tsv", "report.md"):
             assert os.path.exists(os.path.join(out_dir, name))
+
+    def test_unwritable_report_names_the_path_asked_for(self, built_books, suite3_path,
+                                                        tmp_path, capsys):
+        # a directory where comparison.tsv goes: the temp file is written,
+        # then cannot be renamed into place
+        out_dir = tmp_path / "report"
+        (out_dir / "comparison.tsv").mkdir(parents=True)
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+                     "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"openbook: cannot write {out_dir / 'comparison.tsv'}: ")
+        assert ".openbook-" not in err
+        assert os.listdir(out_dir) == ["comparison.tsv"]
 
     def test_byte_reproducible(self, built_books, suite3_path, tmp_path):
         first = self.run_compare(built_books, suite3_path, tmp_path / "a")
@@ -536,6 +569,17 @@ class TestCliPlot:
                      "--out", str(svg_path), "--mark", "26,nosuch"]) == 2
         assert capsys.readouterr().err.endswith(": nosuch\n")
         assert not svg_path.exists()
+
+    def test_unwritable_out_names_the_path_asked_for(self, tmp_path, capsys):
+        report_path = tmp_path / "report.tsv"
+        report_path.write_text("pos\tm_measure\tmax_m\tjsd\toverlap\n"
+                               "a\t0.5\t1\t0.25\t1\nb\t0.75\t1\t0.5\t1\n")
+        out = tmp_path / "missing" / "o.svg"
+        assert main(["plot", "--report", str(report_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"openbook: cannot write {out}: ")
+        assert ".openbook-" not in err
+        assert os.listdir(tmp_path) == ["report.tsv"]
 
     def test_mark_on_row_without_defined_pair_is_data_error(self, tmp_path, capsys):
         report_path = tmp_path / "partial.tsv"
