@@ -10,11 +10,12 @@ sequential builds. Loading checks a file in one pass over its lines.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
 import os
 import re
-from typing import Iterable, List, NamedTuple
+from typing import Dict, Iterable, List, NamedTuple
 
 from . import pgn
 from .pgn import GameRecord
@@ -167,22 +168,34 @@ def _serialize(book: Book) -> str:
     return body + f"sha256 {digest}\n"
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write UTF-8 text via a temp file and rename, so partial output never lands.
-
-    The temp file is created with mode 0666, which the kernel lessens by the
-    umask, so the output gets the mode of any newly created file.
+def write_atomic(files: Dict[str, str]) -> None:
+    """Write each ``path: text`` of ``files`` as UTF-8 via a temp file beside
+    it, and rename the temp files into place, in order, only once all are
+    written and no target is a directory; so a failed write replaces no file
+    (barring a rename that fails after that) and leaves no temp file. The
+    OSError raised names the path asked for. Temp files get mode 0666 less
+    the umask, as any newly created file would.
     """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = os.path.join(directory, f".openbook-{os.getpid()}-{os.urandom(6).hex()}")
-    fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    temps: List[str] = []
+    path = None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
+        for path, text in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+            temp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                                f".openbook-{os.getpid()}-{os.urandom(6).hex()}")
+            fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            temps.append(temp)
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        for temp, path in zip(temps, files):
+            os.replace(temp, path)
+    except BaseException as exc:
+        for temp in temps:
+            if os.path.exists(temp):
+                os.unlink(temp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror or str(exc), path) from exc
         raise
 
 
@@ -190,7 +203,7 @@ def save_book(book: Book, sink) -> None:
     """Write a book file to a path (atomically) or a text/binary file object."""
     text = _serialize(book)
     if isinstance(sink, str):
-        write_atomic(sink, text)
+        write_atomic({sink: text})
     elif isinstance(sink, io.TextIOBase):
         sink.write(text)
     else:

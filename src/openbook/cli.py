@@ -62,12 +62,12 @@ def _load_book(path: str, keys) -> book_mod.Book:
         raise DataError(f"bad book file {path}: {exc}")
 
 
-def _write(path: str, text: str) -> None:
-    """write_atomic, with an error that names ``path``, not the temp file beside it."""
+def _write(files: dict) -> None:
+    """write_atomic, with its error, which names the path asked for, as a DataError."""
     try:
-        book_mod.write_atomic(path, text)
+        book_mod.write_atomic(files)
     except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}")
+        raise DataError(f"cannot write {exc.filename}: {exc.strerror}")
 
 
 def _parse_position(args) -> rules.Position:
@@ -154,9 +154,10 @@ def cmd_compare(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     comparison = report.render_comparison_tsv(doc, args.precision)
     expected = report.render_expected_tsv(doc, args.precision)
-    for name, text in (("comparison.tsv", comparison), ("expected_score.tsv", expected),
-                       ("report.md", report.render_markdown(comparison, expected))):
-        _write(os.path.join(args.out, name), text)
+    # as one set: a write that fails replaces none of the three files
+    _write({os.path.join(args.out, "comparison.tsv"): comparison,
+            os.path.join(args.out, "expected_score.tsv"): expected,
+            os.path.join(args.out, "report.md"): report.render_markdown(comparison, expected)})
     print(f"report written to {args.out}")
     if doc.metadata["undefined_cells"] != "0":
         print(f"undefined cells: {doc.metadata['undefined_cells']}")
@@ -181,7 +182,7 @@ def cmd_plot(args) -> int:
         svg = plot.scatter_svg(points, marked)
     except plot.PlotError as exc:
         raise DataError(str(exc))
-    _write(args.out, svg)
+    _write({args.out: svg})
     print(f"plot written to {args.out}")
     return EXIT_OK
 

@@ -82,13 +82,19 @@ def m_measure(a: RankedList, b: RankedList) -> float:
     return _m_and_max(a, b)[0]
 
 
-def normalize_counts(a: RankedList, min_games: int = 10) -> MoveDistribution:
-    """Drop moves below the game threshold and normalize counts to masses."""
+def _surviving(a: RankedList, min_games: int) -> Tuple[List[RankedMove], int]:
+    """The moves with at least ``min_games`` games, and their total games."""
     surviving = [e for e in a if e.games >= min_games]
     total = sum(e.games for e in surviving)
     if total <= 0:
         raise UndefinedMeasureError(
             f"no move with at least {min_games} games survives the filter")
+    return surviving, total
+
+
+def normalize_counts(a: RankedList, min_games: int = 10) -> MoveDistribution:
+    """Drop moves below the game threshold and normalize counts to masses."""
+    surviving, total = _surviving(a, min_games)
     return {e.san: e.games / total for e in surviving}
 
 
@@ -114,11 +120,7 @@ def expected_score(a: RankedList, min_games: int = 10) -> Tuple[float, int]:
     Returns (percent, total surviving games). Moves are weighted by their
     game counts.
     """
-    surviving = [e for e in a if e.games >= min_games]
-    total = sum(e.games for e in surviving)
-    if total <= 0:
-        raise UndefinedMeasureError(
-            f"no move with at least {min_games} games survives the filter")
+    surviving, total = _surviving(a, min_games)
     points = sum(e.score_percent * e.games / 100.0 for e in surviving)
     return 100.0 * points / total, total
 

@@ -173,7 +173,7 @@ def render_expected_tsv(doc: ReportDocument, precision: str = "3") -> str:
         cells = [label, "-"]
         for column in ("score1", "score2"):
             pair = doc.expected_summary[column]
-            cells.insert(len(cells), _fmt(pair[index] if pair else None, precision))
+            cells.append(_fmt(pair[index] if pair else None, precision))
             cells.append("-")
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"

@@ -10,9 +10,14 @@ and the mate test read the live board, ``_Board.key`` renders its position
 key (the one renderer: ``position_key`` builds a board to call it), and
 ``_Board.position`` freezes it into a Position.
 
-Two tables indexed by the 0x88 difference of two squares (plus 119) tell
-whether they share a line and which pieces attack across it, so a move's
-check and an own piece's pin are found by walking one line.
+Each rule's geometry is stated once, in a table built at import:
+``_PIECE_RAYS`` holds the rays each piece walks from each square, for move
+generation, the SAN origin walk and the attack test; ``_LINE_STEP`` and
+``_ATTACKERS``, indexed by the 0x88 difference of two squares (plus 119),
+tell whether they share a line and which pieces attack across it, so an
+attack, a move's check and an own piece's pin are found by walking one line;
+``_CASTLING`` holds each castling right's squares, and ``_RIGHTS_LOST``, the
+rights a move off or onto each square ends, is derived from it.
 """
 
 from __future__ import annotations
@@ -37,9 +42,10 @@ ROOK_DIRS = (16, 1, -1, -16)
 SQUARES = tuple(16 * r + f for r in range(8) for f in range(8))
 
 
-def _rays(sq: int, dirs: tuple) -> tuple:
+def _rays(sq: int, dirs: tuple, slide: bool) -> tuple:
     """The non-empty rays from 0x88 square ``sq`` along ``dirs``, each nearest
-    square first; none from an off-board slot."""
+    square first and of one square unless ``slide``; none from an off-board
+    slot."""
     if sq & 0x88:
         return ()
     rays = []
@@ -48,29 +54,21 @@ def _rays(sq: int, dirs: tuple) -> tuple:
         s = sq + d
         while not s & 0x88:
             ray.append(s)
+            if not slide:
+                break
             s += d
         if ray:
             rays.append(tuple(ray))
     return tuple(rays)
 
 
-def _steps(sq: int, offsets: tuple) -> tuple:
-    """The on-board squares one offset away from 0x88 square ``sq``; none off it."""
-    return () if sq & 0x88 else tuple(sq + d for d in offsets if not (sq + d) & 0x88)
-
-
-# indexed by 0x88 square and built once, so the attack, pin and origin walks
-# need no bounds tests
-_ROOK_RAYS = [_rays(sq, ROOK_DIRS) for sq in range(128)]
-_BISHOP_RAYS = [_rays(sq, BISHOP_DIRS) for sq in range(128)]
-_QUEEN_RAYS = [_rays(sq, KING_OFFSETS) for sq in range(128)]
-_KNIGHT_STEPS = [_steps(sq, KNIGHT_OFFSETS) for sq in range(128)]
-_KING_STEPS = [_steps(sq, KING_OFFSETS) for sq in range(128)]
-# per piece letter (uppercase), the rays a piece walks from each square;
-# knight and king steps are rays of one square
-_PIECE_RAYS = {"N": [tuple((s,) for s in steps) for steps in _KNIGHT_STEPS],
-               "B": _BISHOP_RAYS, "R": _ROOK_RAYS, "Q": _QUEEN_RAYS,
-               "K": [tuple((s,) for s in steps) for steps in _KING_STEPS]}
+# per piece letter (uppercase) and 0x88 square, the rays the piece walks from
+# that square, built once so the attack, pin and origin walks need no bounds
+# tests; knight and king steps are rays of one square
+_PIECE_RAYS = {piece: [_rays(sq, dirs, slide) for sq in range(128)]
+               for piece, dirs, slide in (("N", KNIGHT_OFFSETS, False), ("B", BISHOP_DIRS, True),
+                                          ("R", ROOK_DIRS, True), ("Q", KING_OFFSETS, True),
+                                          ("K", KING_OFFSETS, False))}
 
 
 def _line_tables() -> tuple:
@@ -152,11 +150,27 @@ class Position(NamedTuple):
     kings: Tuple[int, int]
 
 
-# a castling move's rook (from, to) per side and wing, and the castling right
-# lost when a move leaves or lands on each rook's home square
-_CASTLE_ROOK = {(True, "K"): (H1, F1), (True, "Q"): (A1, D1),
-                (False, "K"): (H8, F8), (False, "Q"): (A8, D8)}
-_ROOK_RIGHT = {H1: "K", A1: "Q", H8: "k", A8: "q"}
+# per castling right, in FEN order: the king's and the rook's home squares,
+# their squares after castling, the squares between the two homes, which must
+# be empty, and the squares the king stands on and passes, which must not be
+# attacked
+_CASTLING = {right: (king, rook, king_to, rook_to,
+                     range(min(king, rook) + 1, max(king, rook)),
+                     range(min(king, king_to), max(king, king_to) + 1))
+             for right, king, rook, king_to, rook_to in (
+                 ("K", E1, H1, G1, F1), ("Q", E1, A1, C1, D1),
+                 ("k", E8, H8, G8, F8), ("q", E8, A8, C8, D8))}
+# per 0x88 square, the rights lost when a move leaves or lands on it
+_RIGHTS_LOST = ["".join(right for right, (king, rook, *_) in _CASTLING.items()
+                        if sq in (king, rook)) for sq in range(128)]
+
+
+def _in_place(board, right: str) -> bool:
+    """Whether the king and the rook of castling ``right`` stand on their
+    home squares."""
+    king, rook = _CASTLING[right][:2]
+    white = right.isupper()
+    return board[king] == ("K" if white else "k") and board[rook] == ("R" if white else "r")
 
 
 class _Board:
@@ -236,7 +250,7 @@ class _Board:
         # the piece that may give check directly: a king never can
         checker = t
         if castle:
-            rook_from, checker = _CASTLE_ROOK[white, castle]
+            _, rook_from, _, checker, _, _ = _CASTLING[castle if white else castle.lower()]
             board[checker] = board[rook_from]
             board[rook_from] = None
         # an en-passant victim and a castling rook stand on the rank of ``f``
@@ -263,14 +277,9 @@ class _Board:
 
         rights = self.castling
         if rights:
-            if pc == "K":
-                rights = rights.replace("K", "").replace("Q", "")
-            elif pc == "k":
-                rights = rights.replace("k", "").replace("q", "")
-            for sq in (f, t):
-                if sq in _ROOK_RIGHT:
-                    rights = rights.replace(_ROOK_RIGHT[sq], "")
-            self.castling = rights
+            lost = _RIGHTS_LOST[f] + _RIGHTS_LOST[t]
+            if lost:
+                self.castling = "".join([right for right in rights if right not in lost])
 
         pawn = pc in ("P", "p")
         self.ep = (f + t) // 2 if pawn and abs(t - f) == 32 else None
@@ -301,27 +310,16 @@ def _attacks_through(board, king_sq: int, sq: int, white: bool) -> bool:
 
 
 def _attacked(board, sq: int, by_white: bool) -> bool:
-    """Is ``sq`` attacked by any piece of the given color?"""
-    pawn, knight, king = ("P", "N", "K") if by_white else ("p", "n", "k")
-    rook_q = ("R", "Q") if by_white else ("r", "q")
-    bishop_q = ("B", "Q") if by_white else ("b", "q")
-    # pawns attack "up" for white, so the attacker sits below the target
-    for d in ((-17, -15) if by_white else (15, 17)):
-        s = sq + d
-        if not s & 0x88 and board[s] == pawn:
-            return True
-    for s in _KNIGHT_STEPS[sq]:
-        if board[s] == knight:
-            return True
-    for s in _KING_STEPS[sq]:
-        if board[s] == king:
-            return True
-    for rays, sliders in ((_ROOK_RAYS[sq], rook_q), (_BISHOP_RAYS[sq], bishop_q)):
+    """Is ``sq`` attacked by any piece of the given color? The first piece on
+    each knight step and queen ray out of ``sq`` attacks it if ``_ATTACKERS``
+    lists that piece for their difference, which covers pawn direction and
+    king adjacency too."""
+    for rays in (_PIECE_RAYS["N"][sq], _PIECE_RAYS["Q"][sq]):
         for ray in rays:
             for s in ray:
                 pc = board[s]
                 if pc is not None:
-                    if pc in sliders:
+                    if pc in _ATTACKERS[sq - s + 119] and pc.isupper() == by_white:
                         return True
                     break
     return False
@@ -378,28 +376,19 @@ def _pseudo_moves(b: _Board):
                         break
 
 
-# per side, True for white: (right, king target, rook square, squares that must
-# be empty, squares the king passes that must not be attacked)
-_CASTLING = {
-    True: (("K", G1, H1, (F1, G1), (E1, F1, G1)),
-           ("Q", C1, A1, (B1, C1, D1), (E1, D1, C1))),
-    False: (("k", G8, H8, (F8, G8), (E8, F8, G8)),
-            ("q", C8, A8, (B8, C8, D8), (E8, D8, C8))),
-}
-
-
 def _castles(b: _Board) -> list:
     """Legal castling moves on the live board ``b``; placement is re-checked
     for hand-built positions."""
     board = b.squares
     white = b.white
-    king, rook = ("K", "R") if white else ("k", "r")
-    home = E1 if white else E8
-    return [Move(home, to_sq, castle=right.upper())
-            for right, to_sq, rook_sq, empty, path in _CASTLING[white]
-            if right in b.castling and board[home] == king and board[rook_sq] == rook
-            and all(board[s] is None for s in empty)
-            and not any(_attacked(board, s, not white) for s in path)]
+    moves = []
+    for right in ("KQ" if white else "kq"):
+        king, _, king_to, _, empty, path = _CASTLING[right]
+        if (right in b.castling and _in_place(board, right)
+                and all(board[s] is None for s in empty)
+                and not any(_attacked(board, s, not white) for s in path)):
+            moves.append(Move(king, king_to, castle=right.upper()))
+    return moves
 
 
 def _leaves_king_safe(board: list, m: Move, white: bool, king_sq: int) -> bool:
@@ -507,20 +496,12 @@ def parse_fen(text: str) -> Position:
     if turn not in (WHITE, BLACK):
         raise FenError(f"bad side-to-move field: {turn!r}")
 
-    if castling == "-":
-        rights = ""
-    else:
-        if not set(castling) <= set("KQkq") or len(set(castling)) != len(castling):
-            raise FenError(f"bad castling field: {castling!r}")
-        rights = "".join(flag for flag in "KQkq" if flag in castling)
-    # drop rights inconsistent with king/rook placement
-    kept = ""
-    for flag, king_sq, rook_sq, king_pc, rook_pc in (
-            ("K", E1, H1, "K", "R"), ("Q", E1, A1, "K", "R"),
-            ("k", E8, H8, "k", "r"), ("q", E8, A8, "k", "r")):
-        if flag in rights and board[king_sq] == king_pc and board[rook_sq] == rook_pc:
-            kept += flag
-    rights = kept
+    if castling != "-" and (not set(castling) <= set(_CASTLING)
+                            or len(set(castling)) != len(castling)):
+        raise FenError(f"bad castling field: {castling!r}")
+    # in FEN order, dropping rights inconsistent with king/rook placement
+    rights = "".join(right for right in _CASTLING
+                     if right in castling and _in_place(board, right))
 
     if ep_field == "-":
         ep = None

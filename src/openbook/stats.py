@@ -2,8 +2,8 @@
 
 Bootstrap resampling uses numpy's PCG64 generator seeded explicitly, so a
 (seed, resamples) pair maps to one exact result. Standard deviations are
-sample (n − 1) throughout; both conventions are recorded in report
-metadata by the cli module. numpy is imported by the functions that use
+sample (n − 1) throughout; ``report.build_report`` records both conventions
+in the report metadata. numpy is imported by the functions that use
 it, so importing this module (and the CLI, for ``build``) does not load it.
 """
 

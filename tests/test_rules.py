@@ -641,24 +641,68 @@ def walk(sq, d, slide):
 
 
 def test_square_tables_match_a_plain_walk():
-    for sq in range(128):
-        if sq & 0x88:
-            tables = (rules._KNIGHT_STEPS, rules._KING_STEPS, rules._ROOK_RAYS,
-                      rules._BISHOP_RAYS, rules._QUEEN_RAYS,
-                      *(rules._PIECE_RAYS[piece] for piece in "NK"))
-            assert all(table[sq] == () for table in tables)
-            continue
-        for table, offsets in ((rules._KNIGHT_STEPS, rules.KNIGHT_OFFSETS),
-                               (rules._KING_STEPS, rules.KING_OFFSETS)):
-            assert list(table[sq]) == [s for d in offsets for s in walk(sq, d, False)]
-        for table, dirs in ((rules._ROOK_RAYS, rules.ROOK_DIRS),
-                            (rules._BISHOP_RAYS, rules.BISHOP_DIRS),
-                            (rules._QUEEN_RAYS, rules.KING_OFFSETS)):
-            assert [list(ray) for ray in table[sq]] == [
-                walk(sq, d, True) for d in dirs if walk(sq, d, True)]
-        for piece, offsets in (("N", rules.KNIGHT_OFFSETS), ("K", rules.KING_OFFSETS)):
-            assert [list(ray) for ray in rules._PIECE_RAYS[piece][sq]] == [
-                walk(sq, d, False) for d in offsets if walk(sq, d, False)]
+    # the offsets themselves, from (rank, file) deltas
+    deltas = [(dr, df) for dr in range(-2, 3) for df in range(-2, 3)]
+    assert set(rules.KNIGHT_OFFSETS) == {16 * dr + df for dr, df in deltas
+                                         if {abs(dr), abs(df)} == {1, 2}}
+    assert set(rules.KING_OFFSETS) == {16 * dr + df for dr, df in deltas
+                                       if max(abs(dr), abs(df)) == 1}
+    assert set(rules.ROOK_DIRS) == {16 * dr + df for dr, df in deltas
+                                    if abs(dr) + abs(df) == 1}
+    assert set(rules.BISHOP_DIRS) == {16 * dr + df for dr, df in deltas
+                                      if abs(dr) == abs(df) == 1}
+    assert sorted(rules._PIECE_RAYS) == sorted("NBRQK")
+    for piece, dirs, slide in (("N", rules.KNIGHT_OFFSETS, False),
+                               ("B", rules.BISHOP_DIRS, True),
+                               ("R", rules.ROOK_DIRS, True),
+                               ("Q", rules.KING_OFFSETS, True),
+                               ("K", rules.KING_OFFSETS, False)):
+        table = rules._PIECE_RAYS[piece]
+        assert len(table) == 128
+        # an off-board slot has no rays
+        for sq in range(128):
+            expected = [] if sq & 0x88 else [walk(sq, d, slide) for d in dirs
+                                             if walk(sq, d, slide)]
+            assert [list(ray) for ray in table[sq]] == expected, (piece, sq)
+
+
+# each castling right's king and rook home squares, named here so the oracle
+# below does not read rules' own table
+CASTLING_HOMES = {"K": ("e1", "h1"), "Q": ("e1", "a1"), "k": ("e8", "h8"), "q": ("e8", "a8")}
+
+
+def test_castling_rights_follow_the_history_of_home_squares():
+    """Along seeded walks that favour moves from or onto a home square (king
+    and rook moves, castling, captures of a rook at home), ``_Board.push``
+    keeps a right exactly while no move has left or landed on its king's or
+    its rook's home square."""
+    homes = {right: {parse_square(name) for name in names}
+             for right, names in CASTLING_HOMES.items()}
+    home_squares = set().union(*homes.values())
+    seen = {"castle": 0, "rook_captured_at_home": 0}
+    rng = random.Random(19)
+    for fen in ("r3k2r/8/8/8/8/8/8/R3K2R w KQkq - 0 1",
+                "r3k2r/1b4b1/8/8/8/8/1B4B1/R3K2R b KQkq - 0 1",
+                rules.START_FEN, TRICKY[0][0], TRICKY[3][0]):
+        start = parse_fen(fen)
+        for _ in range(12):
+            b = rules._Board(start)
+            touched = set()
+            for _ in range(40):
+                moves = legal_moves(b.position())
+                if not moves:
+                    break
+                homely = [m for m in moves if {m.from_sq, m.to_sq} & home_squares]
+                m = rng.choice(homely if homely and rng.random() < 0.75 else moves)
+                seen["castle"] += m.castle is not None
+                seen["rook_captured_at_home"] += (
+                    m.capture and b.squares[m.to_sq] in ("R", "r")
+                    and any(m.to_sq in homes[right] for right in b.castling))
+                touched |= {m.from_sq, m.to_sq}
+                b.push(m)
+                assert b.castling == "".join(right for right in start.castling
+                                             if not homes[right] & touched), (fen, m.uci())
+    assert min(seen.values()) > 0, seen
 
 
 # sha256 of legal_moves' UCI lists along seeded random walks of up to 100 plies;

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import os
 import random
@@ -393,8 +394,8 @@ class TestCliCompare:
 
     def test_unwritable_report_names_the_path_asked_for(self, built_books, suite3_path,
                                                         tmp_path, capsys):
-        # a directory where comparison.tsv goes: the temp file is written,
-        # then cannot be renamed into place
+        # a directory where comparison.tsv goes, found before any temp file
+        # is renamed into place
         out_dir = tmp_path / "report"
         (out_dir / "comparison.tsv").mkdir(parents=True)
         assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
@@ -404,6 +405,66 @@ class TestCliCompare:
         assert err.startswith(f"openbook: cannot write {out_dir / 'comparison.tsv'}: ")
         assert ".openbook-" not in err
         assert os.listdir(out_dir) == ["comparison.tsv"]
+
+    def rerun_over_a_report(self, built_books, suite3_path, tmp_path, capsys, spoil):
+        """Write a report with --seed 5, call ``spoil(out_dir)``, rerun with
+        --seed 6 into the same directory, and return the rerun's stderr after
+        checking that it failed and left every file of the first run as it was."""
+        out_dir = self.run_compare(built_books, suite3_path, tmp_path)
+        names = ("comparison.tsv", "expected_score.tsv")
+        before = {name: (tmp_path / "report" / name).read_bytes() for name in names}
+        spoil(out_dir)
+        capsys.readouterr()
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+                     "--seed", "6", "--out", out_dir]) == 2
+        for name in names:
+            assert (tmp_path / "report" / name).read_bytes() == before[name], name
+        assert sorted(os.listdir(out_dir)) == ["comparison.tsv", "expected_score.tsv",
+                                               "report.md"]
+        # the seed is in the metadata, so the rerun would have changed both
+        self.run_compare(built_books, suite3_path, tmp_path / "fresh", ["--seed", "6"])
+        for name in names:
+            assert (tmp_path / "fresh" / "report" / name).read_bytes() != before[name], name
+        return capsys.readouterr().err
+
+    def test_report_md_a_directory_replaces_no_file(self, built_books, suite3_path,
+                                                    tmp_path, capsys):
+        def spoil(out_dir):
+            os.remove(os.path.join(out_dir, "report.md"))
+            os.mkdir(os.path.join(out_dir, "report.md"))
+        err = self.rerun_over_a_report(built_books, suite3_path, tmp_path, capsys, spoil)
+        report_md = os.path.join(str(tmp_path / "report"), "report.md")
+        assert err == f"openbook: cannot write {report_md}: Is a directory\n"
+
+    def test_failed_third_temp_write_replaces_no_file(self, built_books, suite3_path,
+                                                      tmp_path, capsys, monkeypatch):
+        class FullDisk:
+            """A text handle whose writes fail as on a full disk."""
+
+            def __init__(self, handle):
+                self.handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def spoil(out_dir):
+            real_fdopen, opened = os.fdopen, []
+
+            def fdopen(fd, *args, **kwargs):
+                opened.append(fd)
+                handle = real_fdopen(fd, *args, **kwargs)
+                return FullDisk(handle) if len(opened) == 3 else handle
+            monkeypatch.setattr(book_mod.os, "fdopen", fdopen)
+        err = self.rerun_over_a_report(built_books, suite3_path, tmp_path, capsys, spoil)
+        report_md = os.path.join(str(tmp_path / "report"), "report.md")
+        assert err == f"openbook: cannot write {report_md}: {os.strerror(errno.ENOSPC)}\n"
 
     def test_byte_reproducible(self, built_books, suite3_path, tmp_path):
         first = self.run_compare(built_books, suite3_path, tmp_path / "a")
