@@ -1,16 +1,17 @@
 """Streaming PGN ingestion.
 
 Parses a PGN file into game records, keeping only the mainline. Comments,
-NAGs and recursive variations are dropped. Each game is replayed once, on
-one mutable ``rules._Board``, as it is parsed: the replay validates every
-move and, for a game that will enter a book, keys and SANs its first plies
-on the way. Broken games are reported and skipped instead of aborting the
-stream.
+NAGs and recursive variations are dropped, in one strip of each game's
+movetext: a regex pass if it holds only brace comments, else a jump scan.
+Each game is replayed once, on one mutable ``rules._Board``, as it is
+parsed: the replay validates every move and, for a game that will enter a
+book, keys and SANs its first plies on the way. Broken games are reported
+and skipped instead of aborting the stream.
 """
 
 from __future__ import annotations
 
-import io
+import codecs
 import re
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -20,9 +21,10 @@ RESULTS = ("1-0", "0-1", "1/2-1/2", "*")
 NULL_MOVE_TOKENS = ("--", "Z0", "z0", "0000")
 
 _TAG_RE = re.compile(r'\[\s*(\w+)\s*"((?:[^"\\]|\\.)*)"\s*\]')
-_MOVE_NUMBER_RE = re.compile(r"^\d+\.*$")
 _GLUED_NUMBER_RE = re.compile(r"^\d+\.+")
 _MOVETEXT_SPECIAL_RE = re.compile(r"[{}();]")
+_BRACE_COMMENT_RE = re.compile(r"\{[^}]*(?:\}|\Z)")
+_SAN_FIRST = frozenset("abcdefghNBRQKO")  # which start no result, number, NAG or null move
 
 
 class GameRecord(NamedTuple):
@@ -59,15 +61,19 @@ def _decode(raw: bytes) -> str:
 
 
 def _lines(source) -> Iterator[str]:
-    if isinstance(source, (str,)):
+    """The lines of a PGN source as text, less a byte-order mark at its start."""
+    if isinstance(source, str):
         with open(source, "rb") as handle:
+            yield _decode(handle.readline().removeprefix(codecs.BOM_UTF8))
             for raw in handle:
                 yield _decode(raw)
         return
-    if isinstance(source, io.TextIOBase):
-        yield from source
-        return
-    for raw in source:
+    lines = iter(source)
+    for raw in lines:  # the first line only
+        yield (_decode(raw.removeprefix(codecs.BOM_UTF8)) if isinstance(raw, bytes)
+               else raw.removeprefix("\ufeff"))
+        break
+    for raw in lines:
         yield _decode(raw) if isinstance(raw, bytes) else raw
 
 
@@ -79,9 +85,13 @@ def _strip_movetext(text: str, out: list, in_brace: bool = False, depth: int = 0
     given, and returns that state where ``text`` ends. A brace comment runs
     to the next "}", parentheses nest variations, and a ";" in the mainline
     comments out the rest of its line; inside a variation ";" and "}" are
-    dropped, and a stray "}" in the mainline is kept. The scan jumps from
-    one of the characters ``{}();`` to the next.
+    dropped, and a stray "}" in the mainline is kept. Text with no "(", ")"
+    or ";" takes one regex pass; the scan jumps from one of ``{}();`` to the next.
     """
+    if depth == 0 and "(" not in text and ")" not in text and ";" not in text:
+        text = "{" + text if in_brace else text
+        out.append(_BRACE_COMMENT_RE.sub("", text))
+        return text.rfind("{") > text.rfind("}"), 0
     end = len(text)
     i = 0
     while i < end:
@@ -123,13 +133,17 @@ def _movetext_tokens(text: str):
     result = None
     null = False
     for token in text.split():
+        if token[0] in _SAN_FIRST and not null:
+            tokens.append(token)
+            continue
+        # a move number, where isdecimal takes the Unicode decimal digits, as
+        # \d does; "0000" is a null move, not a move number
+        if token.rstrip(".").isdecimal() and token not in NULL_MOVE_TOKENS:
+            continue
         if token in RESULTS:
             result = token
             break
-        # "0000" is a null move, not a move number
-        if token[0].isdigit() and token not in NULL_MOVE_TOKENS:
-            if _MOVE_NUMBER_RE.fullmatch(token):
-                continue
+        if token[0].isdigit():
             # glued move numbers like "1.e4"
             token = _GLUED_NUMBER_RE.sub("", token)
         elif token[0] == "$" or token == ".":
@@ -147,53 +161,53 @@ def parse_pgn_stream(source, max_depth: int = 0, min_rating: Optional[int] = Non
 
     ``source`` may be a path, a text file object, or an iterable of
     bytes/str lines. Parsing is single pass; memory is bounded per game.
-    Movetext is stripped line by line as it arrives, so a tag line inside a
-    brace comment is read as comment, and a brace inside a ";" comment is not.
+    A game's movetext is stripped when the game ends, in one call of
+    _strip_movetext (its regex pass or its jump scan). A tag line after
+    movetext is comment if the lines before it, stripped then, leave a
+    brace comment open; lines with no "}" in an open one are not stripped.
 
     Every game is replayed to its end, and one whose moves do not all
     replay is reported. A game that filter_games would pass at
     ``min_rating`` carries the ``plies`` of its first ``max_depth`` moves.
     """
     tags: dict = {}
+    lines: list = []  # movetext lines, not yet stripped into mainline
     mainline: list = []
     seen_movetext = False
     in_brace, depth = False, 0
     game_index = 0
 
+    def strip():  # the gathered lines into mainline; True if a brace comment is open
+        nonlocal lines, in_brace, depth
+        if lines and (not in_brace or any("}" in text for text in lines)):
+            in_brace, depth = _strip_movetext("\n".join(lines), mainline, in_brace, depth)
+        lines = []
+        return in_brace
+
     def finish():
         nonlocal tags, mainline, seen_movetext, in_brace, depth, game_index
-        record = None
-        if tags or seen_movetext:
-            game_index += 1
-            record = _finish_game(tags, "".join(mainline), game_index, max_depth, min_rating)
-        tags = {}
-        mainline = []
-        seen_movetext = False
-        in_brace, depth = False, 0
+        game_index += 1
+        strip()
+        record = _finish_game(tags, "".join(mainline), game_index, max_depth, min_rating)
+        tags, mainline, seen_movetext, in_brace, depth = {}, [], False, False, 0
         return record
 
     for line in _lines(source):
         if line.startswith("%"):
             continue
         stripped = line.strip()
-        if not in_brace and stripped.startswith("[") and _TAG_RE.match(stripped):
+        if stripped.startswith("[") and _TAG_RE.match(stripped) and not (
+                seen_movetext and strip()):
             if seen_movetext:
-                result = finish()
-                if result is not None:
-                    yield result
+                yield finish()
             for name, value in _TAG_RE.findall(stripped):
                 tags[name] = value.replace('\\"', '"').replace("\\\\", "\\")
             continue
         if stripped:
             seen_movetext = True
-            in_brace, depth = _strip_movetext(stripped, mainline, in_brace, depth)
-            # the line break ends a ";" comment and separates tokens, but is
-            # itself comment text inside braces or a variation
-            if not in_brace and depth == 0:
-                mainline.append("\n")
-    result = finish()
-    if result is not None:
-        yield result
+            lines.append(stripped)
+    if tags or seen_movetext:
+        yield finish()
 
 
 def _finish_game(tags: dict, movetext: str, game_index: int, max_depth: int = 0,

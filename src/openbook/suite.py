@@ -30,7 +30,7 @@ _ID_RE = re.compile(r'\bid\s+(?:"([^"]*)"|(\S+?));')
 def parse_epd_suite(source: Union[str, Iterable[str]]) -> List[SuiteEntry]:
     """Parse an EPD file (path or iterable of lines) into suite entries."""
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        with open(source, "r", encoding="utf-8-sig") as handle:
             try:
                 lines = handle.readlines()
             except UnicodeDecodeError as exc:

@@ -1,12 +1,14 @@
+import codecs
 import io
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openbook import rules
+from openbook import pgn, rules
 from openbook.book import build_book, load_book
 from openbook.cli import main
 from openbook.pgn import (
@@ -14,6 +16,7 @@ from openbook.pgn import (
     GameRecord,
     MalformedGame,
     _finish_game,
+    _movetext_tokens,
     _strip_movetext,
     filter_games,
     parse_pgn_stream,
@@ -101,6 +104,46 @@ def test_glued_move_numbers():
     assert games[0].moves == ("e4", "e5", "Nf3")
 
 
+@pytest.mark.parametrize("wrap", [
+    lambda data, path: str(path),
+    lambda data, path: io.BytesIO(data).readlines(),
+    lambda data, path: data.decode("utf-8").splitlines(True),
+    lambda data, path: io.StringIO(data.decode("utf-8")),
+], ids=["path", "bytes lines", "str lines", "text stream"])
+def test_byte_order_mark_starts_no_game(wrap, tmp_path):
+    """A UTF-8 byte-order mark, which Windows tools write, is dropped from
+    the start of every kind of source: the first tag stays a tag."""
+    path = tmp_path / "bom.pgn"
+    path.write_bytes(codecs.BOM_UTF8 + SIMPLE.encode())
+    assert list(parse_pgn_stream(wrap(path.read_bytes(), path))) == parse(SIMPLE)
+
+
+def test_byte_order_mark_dropped_before_the_latin1_fallback():
+    raw = codecs.BOM_UTF8 + '[White "K\xe4rner"]\n[Result "*"]\n\n1. e4 *\n'.encode("latin-1")
+    games = list(parse_pgn_stream(io.BytesIO(raw).readlines()))
+    assert games[0].tags == {"White": "K\xe4rner", "Result": "*"}
+
+
+@pytest.mark.parametrize("movetext, expected", [
+    # a move number may be written in any Unicode decimal digits
+    ("\u0661. e4 12... e5 *", (("e4", "e5"), "*")),
+    # a superscript two is a digit but not a decimal one, so not a move number
+    ("1. e4 \u00b2. e5 *", "unparsable SAN '\u00b2.' in "),
+    # "0000" is a null move, not a move number: it ends the mainline
+    ("1. e4 0000 2. d4 *", (("e4",), "*")),
+    ("1. e4 12...e5 *", (("e4", "e5"), "*")),
+    ("1. e4 e5 1/2-1/2 2. Nf3 0-1", (("e4", "e5"), "1/2-1/2")),
+    ("1. d4 0-1 Ke3", (("d4",), "0-1")),
+])
+def test_move_numbers_null_moves_and_results(movetext, expected):
+    game = parse(movetext)[0]
+    if isinstance(expected, str):
+        assert game.reason.startswith(expected)
+    else:
+        assert (game.moves, game.result) == expected
+        assert _movetext_tokens(movetext) == (list(expected[0]), expected[1])
+
+
 def test_filter_drops_unknown_results_by_default():
     games = parse('[Result "*"]\n\n1. e4 *\n\n[Result "1-0"]\n\n1. d4 1-0')
     kept = list(filter_games(games))
@@ -163,6 +206,21 @@ def test_brace_inside_semicolon_comment_keeps_next_game():
     games = parse(text)
     assert [(g.tags["Event"], g.moves, g.result) for g in games] == [
         ("a", ("e4", "e5"), "1-0"), ("b", ("d4", "d5"), "0-1")]
+
+
+@pytest.mark.parametrize("variation", ["", "(2. d4 d5) "])
+def test_tag_lines_inside_a_comment_are_stripped_once(variation, monkeypatch):
+    """Tag-like lines inside a brace comment are comment text, and a game
+    with thousands of them is stripped a bounded number of times, on the
+    regex pass or, with a variation, the jump scan."""
+    notes = "".join(f'[Note "{i}"]\n' for i in range(5000))
+    commented = SIMPLE.replace("2. Nf3", "{ a comment\n" + notes + "}\n" + variation + "2. Nf3")
+    expected = parse(SIMPLE + "\n" + SIMPLE)
+    calls = []
+    strip = pgn._strip_movetext
+    monkeypatch.setattr(pgn, "_strip_movetext", lambda *args: calls.append(1) or strip(*args))
+    assert parse(commented + "\n" + commented) == expected
+    assert len(calls) <= 2 * len(expected)
 
 
 def test_line_replays_moves_once_and_is_kept():
@@ -336,6 +394,25 @@ def test_jump_scan_strip_matches_char_by_char(text):
     out = []
     _strip_movetext(text, out)
     assert "".join(out) == _reference_strip(text)
+
+
+BRACE_ONLY_PIECES = ["{", "}", "{ {", "} }", "\n", " ", "e4", "Nf3", "1.", "$1", "[%clk 0:01]",
+                     '[Event "x"]']
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(BRACE_ONLY_PIECES), max_size=40).map("".join), st.booleans())
+def test_regex_pass_matches_char_by_char(text, in_brace):
+    """Movetext with only brace comments (multi-line, unclosed,
+    nested-looking, or beside a stray "}") takes the regex pass, which
+    strips it as the reference does and tells whether a comment is open."""
+    start = "{" if in_brace else ""
+    out = []
+    with mock.patch.object(pgn, "_MOVETEXT_SPECIAL_RE", None):  # the jump scan would fail
+        state = _strip_movetext(text, out, in_brace)
+    assert "".join(out) == _reference_strip(start + text)
+    # a "}" added at the end closes an open comment, else it is kept
+    assert state == (_reference_strip(start + text + "}") == _reference_strip(start + text), 0)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -1,3 +1,4 @@
+import codecs
 import errno
 import hashlib
 import os
@@ -231,6 +232,29 @@ class TestCliBuild:
         assert capsys.readouterr().err == (
             f"skipped game 1: {broken}: illegal SAN 'Ke3' in "
             "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1\n")
+
+    def test_byte_order_mark_changes_no_book_or_skip_line(self, tmp_path, pb_mini_path,
+                                                          monkeypatch, capsys):
+        """A UTF-8 byte-order mark before the first tag, which Windows tools
+        write, starts no phantom game, moves no game number and loses no
+        tag: a first game whose first tag is WhiteElo still passes
+        --min-rating."""
+        with open(pb_mini_path, "rb") as handle:
+            data = (b'[WhiteElo "2500"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n1. e4 e5 1-0\n\n'
+                    b'[Result "1-0"]\n\n1. e4 Ke3 1-0\n\n' + handle.read())
+        outputs = []
+        for name, prefix in (("plain", b""), ("bom", codecs.BOM_UTF8)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "games.pgn").write_bytes(prefix + data)
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["build", "--pgn", "games.pgn", "--out", "games.book",
+                         "--depth", "4", "--min-rating", "2000"]) == 0
+            outputs.append((capsys.readouterr(), (tmp_path / name / "games.book").read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[0][0].err == (
+            "skipped game 2: games.pgn: illegal SAN 'Ke3' in "
+            "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1\n")
+        assert "\ngames=1 " in outputs[0][0].out
 
     def test_unwritable_out_names_the_path_asked_for(self, tmp_path, pb_mini_path, capsys):
         out = tmp_path / "missing" / "o.book"
@@ -543,6 +567,18 @@ class TestCliCompare:
         assert len(lines) == 1
         assert re.fullmatch(r"# pearson_full=-?[0-9.]+ n=3 "
                             r"note=need at least 1000 resamples, got 5\n", lines[0])
+
+    def test_byte_order_mark_before_the_suite_changes_no_report(self, built_books,
+                                                                suite3_path, tmp_path):
+        bom_suite = tmp_path / "bom.epd"
+        with open(suite3_path, "rb") as handle:
+            bom_suite.write_bytes(codecs.BOM_UTF8 + handle.read())
+        plain = self.run_compare(built_books, suite3_path, tmp_path / "plain")
+        bom = self.run_compare(built_books, str(bom_suite), tmp_path / "bom")
+        for name in ("comparison.tsv", "expected_score.tsv", "report.md"):
+            with open(os.path.join(plain, name), "rb") as fa, \
+                    open(os.path.join(bom, name), "rb") as fb:
+                assert fb.read() == fa.read()
 
     def test_non_utf8_suite_is_data_error(self, built_books, tmp_path, capsys):
         suite_file = tmp_path / "suite.epd"
