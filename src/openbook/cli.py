@@ -93,13 +93,17 @@ def _parsed_games(paths: List[str], reports: List[str], max_depth: int,
                   min_rating: Optional[int]):
     """The games of the PGN files, in order, as they are parsed, each game
     that passes the filter at ``min_rating`` with the plies it adds to a
-    book at ``max_depth``; skip lines, naming the file, go to ``reports``."""
+    book at ``max_depth``; skip lines, naming the file, go to ``reports``,
+    and a file that cannot be read is a DataError naming it."""
     for path in paths:
-        for item in parse_pgn_stream(path, max_depth, min_rating):
-            if isinstance(item, MalformedGame):
-                reports.append(f"skipped game {item.game_index}: {path}: {item.reason}")
-            else:
-                yield item
+        try:
+            for item in parse_pgn_stream(path, max_depth, min_rating):
+                if isinstance(item, MalformedGame):
+                    reports.append(f"skipped game {item.game_index}: {path}: {item.reason}")
+                else:
+                    yield item
+        except OSError as exc:
+            raise DataError(f"cannot read PGN {path}: {exc.strerror or exc}")
 
 
 def cmd_build(args) -> int:
@@ -151,7 +155,10 @@ def cmd_compare(args) -> int:
     doc = report.build_report(book1, book2, suite, min_games=args.min_games,
                               resamples=args.bootstrap, seed=args.seed,
                               exclude=exclude)
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {args.out}: {exc.strerror or exc}")
     comparison = report.render_comparison_tsv(doc, args.precision)
     expected = report.render_expected_tsv(doc, args.precision)
     # as one set: a write that fails replaces none of the three files

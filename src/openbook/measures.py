@@ -3,7 +3,9 @@
 Three per-position measures: set overlap, the reciprocal-rank weighted
 footrule similarity (with its disjoint-lists normalizer), and the
 Jensen-Shannon-divergence similarity over move-count distributions.
-Plus the expected percentage score of a booked position.
+Plus the expected percentage score of a booked position. A measure that
+is undefined raises UndefinedMeasureError; the per-position rows turn it
+into a None cell through one rule, ``_or_none``.
 
 Reciprocal ranks are exact: integers over one common denominator. A move
 missing from a list of length k gets rank k + 1 before the reciprocal.
@@ -146,6 +148,14 @@ class ExpectedScoreRow(NamedTuple):
     games2: Optional[int]
 
 
+def _or_none(measure, *args):
+    """``measure(*args)``, or None (an undefined cell) where it is undefined."""
+    try:
+        return measure(*args)
+    except UndefinedMeasureError:
+        return None
+
+
 def compare_position(position_id: str, a: RankedList, b: RankedList,
                      min_games: int = 10) -> ComparisonRow:
     """One comparison row: overlap and M on full lists, JSD on filtered ones.
@@ -153,20 +163,10 @@ def compare_position(position_id: str, a: RankedList, b: RankedList,
     Undefined component measures become None cells instead of failing the
     whole row.
     """
-    try:
-        overlap_value = overlap(a, b)
-    except UndefinedMeasureError:
-        overlap_value = None
-    try:
-        m_value, max_value = _m_and_max(a, b)
-    except UndefinedMeasureError:
-        m_value = None
-        max_value = None
-    try:
-        jsd_value = jsd_similarity(normalize_counts(a, min_games),
-                                   normalize_counts(b, min_games))
-    except UndefinedMeasureError:
-        jsd_value = None
+    overlap_value = _or_none(overlap, a, b)
+    m_value, max_value = _or_none(_m_and_max, a, b) or (None, None)
+    jsd_value = _or_none(lambda: jsd_similarity(normalize_counts(a, min_games),
+                                                normalize_counts(b, min_games)))
     return ComparisonRow(position_id, m_value, max_value, jsd_value, overlap_value)
 
 
@@ -174,11 +174,6 @@ def expected_score_row(position_id: str, side_to_move: str,
                        a: RankedList, b: RankedList,
                        min_games: int = 10) -> ExpectedScoreRow:
     """One expected-score row; undefined book sides become None cells."""
-    values: List[Tuple[Optional[float], Optional[int]]] = []
-    for ranked in (a, b):
-        try:
-            values.append(expected_score(ranked, min_games))
-        except UndefinedMeasureError:
-            values.append((None, None))
-    return ExpectedScoreRow(position_id, side_to_move,
-                            values[0][0], values[0][1], values[1][0], values[1][1])
+    score1, games1 = _or_none(expected_score, a, min_games) or (None, None)
+    score2, games2 = _or_none(expected_score, b, min_games) or (None, None)
+    return ExpectedScoreRow(position_id, side_to_move, score1, games1, score2, games2)

@@ -1,7 +1,9 @@
 """Comparison report: per-position rows, summaries, correlation block.
 
 The TSV rendering is the single source of truth; the Markdown table is a
-re-layout of the same formatted cells. Metadata lines (``# key=value``)
+re-layout of the same formatted cells. One renderer, ``_tsv``, writes both
+TSV tables, and every value cell goes through ``_fmt``, which writes an
+undefined (None) cell as ``undefined``. Metadata lines (``# key=value``)
 carry everything needed to reproduce a run bit-exactly.
 """
 
@@ -47,15 +49,13 @@ def _paired_sample(rows: Sequence[ComparisonRow]) -> PairedSample:
 
 def _correlate(label: str, sample: PairedSample, resamples: int,
                seed: int) -> CorrelationBlock:
+    r, ci, note = None, None, ""
     try:
         r = stats.pearson(sample)
-    except stats.StatsError as exc:
-        return CorrelationBlock(label, len(sample), None, None, note=str(exc))
-    try:
         ci = stats.bootstrap_ci(sample, resamples=resamples, seed=seed)
     except stats.StatsError as exc:
-        return CorrelationBlock(label, len(sample), r, None, note=str(exc))
-    return CorrelationBlock(label, len(sample), r, ci)
+        note = str(exc)
+    return CorrelationBlock(label, len(sample), r, ci, note)
 
 
 def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
@@ -83,9 +83,7 @@ def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
         correlation_excluded = _correlate(
             "excluded", sample.without(exclude), resamples, seed)
 
-    undefined_cells = sum(
-        1 for row in comparison_rows for column in stats.COMPARISON_COLUMNS
-        if getattr(row, column) is None)
+    undefined_cells = sum(value is None for row in comparison_rows for value in row[1:])
     metadata = {
         "book1": book1.source or "book1",
         "book2": book2.source or "book2",
@@ -115,21 +113,12 @@ def _fmt(value: Optional[float], precision: str) -> str:
     return f"{value:.{int(precision)}f}"
 
 
-def _metadata_lines(doc: ReportDocument) -> List[str]:
-    lines = ["# openbook-report v1"]
-    lines.extend(f"# {key}={value}" for key, value in doc.metadata.items())
-    return lines
-
-
 def _correlation_lines(doc: ReportDocument, precision: str) -> List[str]:
     lines = []
     for block in (doc.correlation_full, doc.correlation_excluded):
         if block is None:
             continue
-        if block.pearson is None:
-            lines.append(f"# pearson_{block.label}={UNDEFINED} n={block.n} "
-                         f"note={block.note}")
-            continue
+        # an undefined pearson has no CI, so its line ends with the note
         text = f"# pearson_{block.label}={_fmt(block.pearson, precision)} n={block.n}"
         if block.ci is not None:
             text += (f" ci95=[{_fmt(block.ci.lower, precision)},"
@@ -140,43 +129,39 @@ def _correlation_lines(doc: ReportDocument, precision: str) -> List[str]:
     return lines
 
 
-def render_comparison_tsv(doc: ReportDocument, precision: str = "3") -> str:
-    lines = _metadata_lines(doc)
-    lines.append("pos\tm_measure\tmax_m\tjsd\toverlap")
-    for row in doc.comparison_rows:
-        lines.append("\t".join([row.position_id,
-                                _fmt(row.m_measure, precision),
-                                _fmt(row.max_m, precision),
-                                _fmt(row.jsd, precision),
-                                _fmt(row.overlap, precision)]))
+def _tsv(doc: ReportDocument, header: str, fields: Sequence[str], lead: int,
+         rows: Sequence[tuple], summary: Dict[str, Optional[Tuple[float, float]]],
+         precision: str, trailing: Sequence[str] = ()) -> str:
+    """One report table: metadata lines, ``header``, a line per row (its first
+    ``lead`` cells as they are, the rest through ``_fmt``), Avg and Std lines
+    (``-`` under a field that ``summary`` lacks), then ``trailing``."""
+    lines = ["# openbook-report v1"]
+    lines.extend(f"# {key}={value}" for key, value in doc.metadata.items())
+    lines.append(header)
+    # a column at a time, which costs less than a generator per row
+    columns = list(zip(*rows))
+    columns[lead:] = [[_fmt(value, precision) for value in column] for column in columns[lead:]]
+    lines.extend(map("\t".join, zip(*columns)))
     for label, index in (("Avg", 0), ("Std", 1)):
         cells = [label]
-        for column in stats.COMPARISON_COLUMNS:
-            pair = doc.comparison_summary[column]
-            cells.append(_fmt(pair[index] if pair else None, precision))
+        for field in fields[1:]:
+            pair = summary.get(field)
+            cells.append("-" if field not in summary
+                         else _fmt(pair[index] if pair else None, precision))
         lines.append("\t".join(cells))
-    lines.extend(_correlation_lines(doc, precision))
+    lines.extend(trailing)
     return "\n".join(lines) + "\n"
+
+
+def render_comparison_tsv(doc: ReportDocument, precision: str = "3") -> str:
+    return _tsv(doc, "pos\tm_measure\tmax_m\tjsd\toverlap", ComparisonRow._fields, 1,
+                doc.comparison_rows, doc.comparison_summary, precision,
+                _correlation_lines(doc, precision))
 
 
 def render_expected_tsv(doc: ReportDocument, precision: str = "3") -> str:
-    lines = _metadata_lines(doc)
-    lines.append("pos\tside\tew1\tgames1\tew2\tgames2")
-    for row in doc.expected_rows:
-        lines.append("\t".join([
-            row.position_id, row.side_to_move,
-            _fmt(row.score1, precision),
-            str(row.games1) if row.games1 is not None else UNDEFINED,
-            _fmt(row.score2, precision),
-            str(row.games2) if row.games2 is not None else UNDEFINED]))
-    for label, index in (("Avg", 0), ("Std", 1)):
-        cells = [label, "-"]
-        for column in ("score1", "score2"):
-            pair = doc.expected_summary[column]
-            cells.append(_fmt(pair[index] if pair else None, precision))
-            cells.append("-")
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
+    return _tsv(doc, "pos\tside\tew1\tgames1\tew2\tgames2", ExpectedScoreRow._fields, 2,
+                doc.expected_rows, doc.expected_summary, precision)
 
 
 def _tsv_to_markdown(tsv_text: str) -> List[str]:
@@ -199,14 +184,9 @@ def _tsv_to_markdown(tsv_text: str) -> List[str]:
 
 def render_markdown(comparison_tsv: str, expected_tsv: str) -> str:
     """The Markdown report laid out from the two rendered TSV texts."""
-    lines = ["# Opening book comparison", ""]
-    lines.append("## Per-position measures")
-    lines.append("")
-    lines.extend(_tsv_to_markdown(comparison_tsv))
-    lines.append("")
-    lines.append("## Expected percentage score")
-    lines.append("")
-    lines.extend(_tsv_to_markdown(expected_tsv))
+    lines = ["# Opening book comparison", "", "## Per-position measures", "",
+             *_tsv_to_markdown(comparison_tsv),
+             "", "## Expected percentage score", "", *_tsv_to_markdown(expected_tsv)]
     return "\n".join(lines) + "\n"
 
 
@@ -238,9 +218,6 @@ def parse_comparison_tsv(text: str):
         if len(cells) != 5:
             raise ValueError(f"bad comparison TSV row: {line!r}")
 
-        def cell(value):
-            return None if value == UNDEFINED else float(value)
-
-        rows.append(ComparisonRow(cells[0], cell(cells[1]), cell(cells[2]),
-                                  cell(cells[3]), cell(cells[4])))
+        rows.append(ComparisonRow(cells[0], *(None if cell == UNDEFINED else float(cell)
+                                              for cell in cells[1:])))
     return rows, metadata

@@ -1,5 +1,8 @@
 """Cross-position statistics: Pearson correlation, its bootstrap CI, summaries.
 
+One kernel, ``_pearson_rows``, computes every correlation: ``pearson``'s on
+the one row that takes each pair once, ``bootstrap_ci``'s on resample rows.
+
 Bootstrap resampling uses numpy's PCG64 generator seeded explicitly, so a
 (seed, resamples) pair maps to one exact result. Standard deviations are
 sample (n − 1) throughout; ``report.build_report`` records both conventions
@@ -56,27 +59,19 @@ class BootstrapResult(NamedTuple):
     seed: int
 
 
-def pearson_xy(x: np.ndarray, y: np.ndarray) -> float:
-    """Product-moment correlation of two vectors; StatsError if constant."""
-    import numpy as np
-
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xm = x - x.mean()
-    ym = y - y.mean()
-    denominator = math.sqrt(float((xm * xm).sum()) * float((ym * ym).sum()))
-    if denominator == 0.0:
-        raise StatsError("correlation undefined: constant column")
-    return float((xm * ym).sum()) / denominator
-
-
 def pearson(sample: PairedSample) -> float:
     """Pearson correlation of a paired sample (n >= 2, non-constant)."""
     import numpy as np
 
-    if len(sample) < 2:
-        raise StatsError(f"need at least 2 pairs, got {len(sample)}")
-    return pearson_xy(np.array(sample.x), np.array(sample.y))
+    n = len(sample)
+    if n < 2:
+        raise StatsError(f"need at least 2 pairs, got {n}")
+    # the one resample that takes every pair once, in order
+    values = _pearson_rows(np.array(sample.x, dtype=float), np.array(sample.y, dtype=float),
+                           np.arange(n)[None, :])
+    if not len(values):
+        raise StatsError("correlation undefined: constant column")
+    return float(values[0])
 
 
 def _pearson_rows(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -107,9 +102,9 @@ def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
         raise StatsError(f"need at least 3 pairs to bootstrap, got {n}")
     if resamples < 1000:
         raise StatsError(f"need at least 1000 resamples, got {resamples}")
+    estimate = pearson(sample)
     x = np.array(sample.x, dtype=float)
     y = np.array(sample.y, dtype=float)
-    estimate = pearson_xy(x, y)
     rng = np.random.Generator(np.random.PCG64(seed))
     # one block of resamples at a time bounds the working memory. Drawing
     # each block's indices in turn gives the same values, row for row, as

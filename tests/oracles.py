@@ -6,6 +6,7 @@ from typing import List
 from openbook.book import RankedMove
 from openbook.measures import MoveDistribution
 from openbook.rules import WHITE, Position, _attacked, legal_moves
+from openbook.stats import StatsError
 
 
 def ranked_from_counts(counts) -> List[RankedMove]:
@@ -29,6 +30,21 @@ def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:
     qv = [q.get(s, 0.0) for s in support]
     mid = [(x + y) / 2.0 for x, y in zip(pv, qv)]
     return entropy(mid) - entropy(pv) / 2.0 - entropy(qv) / 2.0
+
+
+def pearson_xy(x, y) -> float:
+    """Product-moment correlation of two vectors, one mean and one sum each;
+    StatsError if either is constant."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    xm = x - x.mean()
+    ym = y - y.mean()
+    denominator = math.sqrt(float((xm * xm).sum()) * float((ym * ym).sum()))
+    if denominator == 0.0:
+        raise StatsError("correlation undefined: constant column")
+    return float((xm * ym).sum()) / denominator
 
 
 def normalize(p: Position) -> Position:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import refdata
 from openbook.measures import ComparisonRow, ExpectedScoreRow
 from openbook.stats import (
@@ -82,6 +83,17 @@ class TestBootstrap:
     def test_too_few_resamples_rejected(self):
         with pytest.raises(StatsError):
             bootstrap_ci(summary_sample(), resamples=100, seed=0)
+
+    def test_constant_column_rejected_before_the_draw(self):
+        # every resample of a constant column is degenerate, so a draw would
+        # give another message; the size checks come first
+        sample = PairedSample(("a", "b", "c"), (1.0, 2.0, 3.0), (0.5, 0.5, 0.5))
+        with pytest.raises(StatsError, match="^correlation undefined: constant column$"):
+            bootstrap_ci(sample, resamples=1000, seed=0)
+        with pytest.raises(StatsError, match="^need at least 1000 resamples, got 999$"):
+            bootstrap_ci(sample, resamples=999, seed=0)
+        with pytest.raises(StatsError, match="^need at least 3 pairs to bootstrap, got 2$"):
+            bootstrap_ci(sample.without(["c"]), resamples=999, seed=0)
 
     def test_mostly_degenerate_resamples_rejected(self):
         # 15 of the 27 index triples leave x or y constant
@@ -186,3 +198,26 @@ def test_quantile_matches_numpy_bit_for_bit(n, seed, digits, q):
     values = np.round(np.random.default_rng(seed).uniform(-1.0, 1.0, n), digits) + 0.0
     ours = _quantile(np.sort(values), q)
     assert np.float64(ours).tobytes() == np.float64(np.quantile(values, q)).tobytes()
+
+
+def _outcome(correlate, *args):
+    """The bits of ``correlate(*args)``, or the message of its StatsError."""
+    try:
+        return np.float64(correlate(*args)).tobytes()
+    except StatsError as exc:
+        return str(exc)
+
+
+# few distinct values, so that ties and constant columns come up often
+_PEARSON_VALUES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.1, 1.0, -3.0]))
+
+
+@given(st.lists(st.tuples(_PEARSON_VALUES, _PEARSON_VALUES), min_size=2, max_size=300))
+@example([(1.0, 0.0), (1.0, 2.0), (1.0, 5.0)])
+@example([(0.0, 1.0), (0.1, 1.0)])
+@example([(0.1, 0.1), (0.2, 0.3), (0.3, 0.2)])
+@settings(max_examples=400, deadline=None)
+def test_pearson_matches_the_one_vector_formula(pairs):
+    x, y = zip(*pairs)
+    sample = PairedSample(tuple(str(i) for i in range(len(pairs))), x, y)
+    assert _outcome(pearson, sample) == _outcome(oracles.pearson_xy, x, y)

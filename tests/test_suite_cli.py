@@ -292,6 +292,16 @@ class TestCliBuild:
         assert book.source == "a.pgn+a.pgn"
         assert book.games == 2 * 49
 
+    def test_unreadable_pgn_is_data_error_naming_it(self, tmp_path, pb_mini_path,
+                                                    monkeypatch, capsys):
+        # a directory exists but cannot be read as a PGN file; the file
+        # before it is parsed, yet no book is written
+        monkeypatch.chdir(tmp_path)
+        os.mkdir("adir")
+        assert main(["build", "--pgn", pb_mini_path, "adir", "--out", "o.book"]) == 2
+        assert capsys.readouterr() == ("", "openbook: cannot read PGN adir: Is a directory\n")
+        assert os.listdir() == ["adir"]
+
     def test_missing_later_pgn_is_data_error_before_any_parse(self, tmp_path, pb_mini_path,
                                                               monkeypatch, capsys):
         parsed = []
@@ -558,6 +568,21 @@ class TestCliCompare:
         assert err.value.code == 1
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "report").exists()
+
+    def test_out_naming_a_file_is_data_error(self, built_books, suite3_path, tmp_path,
+                                             monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with open("afile", "w") as handle:
+            handle.write("kept\n")
+        before = sorted(os.listdir())
+        capsys.readouterr()
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+                     "--out", "afile"]) == 2
+        assert capsys.readouterr() == ("", "openbook: cannot write afile: File exists\n")
+        assert sorted(os.listdir()) == before
+        with open("afile") as handle:
+            assert handle.read() == "kept\n"
 
     def test_undefined_ci_line_gives_its_reason(self, built_books, suite3_path, tmp_path):
         out_dir = self.run_compare(built_books, suite3_path, tmp_path,
