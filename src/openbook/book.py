@@ -119,11 +119,11 @@ def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "
             entry[2] += tally[1]
             entry[3] += tally[2]
         total_games += 1
-    positions = {
-        key: {san: MoveStats(san, *entry) for san, entry in moves.items()}
-        for key, moves in counts.items()
-    }
-    return Book(depth=max_depth, source=source, games=total_games, positions=positions)
+    # in place, so the count lists and the MoveStats are never all alive at once
+    for moves in counts.values():
+        for san, entry in moves.items():
+            moves[san] = MoveStats(san, *entry)
+    return Book(depth=max_depth, source=source, games=total_games, positions=counts)
 
 
 def merge_books(a: Book, b: Book) -> Book:

@@ -1,7 +1,8 @@
 """openbook command line: build books, query them, compare, and plot.
 
 Exit codes: 0 success (possibly with undefined cells), 1 usage error,
-2 data error (unreadable/malformed inputs).
+2 data error (unreadable/malformed inputs). ``_read`` words the error of
+every file a command reads, and ``_write`` of every file it writes.
 """
 
 from __future__ import annotations
@@ -52,22 +53,23 @@ def _precision(text: str) -> str:
     return text
 
 
-def _load_book(path: str, keys) -> book_mod.Book:
-    """The book at ``path``, checked whole but built only at ``keys``."""
+def _read(kind: str, path: str, read, *args):
+    """``read(path, *args)``, with an OSError or a ValueError (a malformed
+    file) as a DataError naming the ``kind`` of file and its path."""
     try:
-        return book_mod.load_book(path, keys)
+        return read(path, *args)
     except OSError as exc:
-        raise DataError(f"cannot read book {path}: {exc}")
-    except book_mod.BookFormatError as exc:
-        raise DataError(f"bad book file {path}: {exc}")
+        raise DataError(f"cannot read {kind} {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise DataError(f"bad {kind} file {path}: {exc}")
 
 
-def _write(files: dict) -> None:
-    """write_atomic, with its error, which names the path asked for, as a DataError."""
+def _write(write, *args, **kwargs) -> None:
+    """``write(*args, **kwargs)``, with an OSError as a DataError naming its path."""
     try:
-        book_mod.write_atomic(files)
+        write(*args, **kwargs)
     except OSError as exc:
-        raise DataError(f"cannot write {exc.filename}: {exc.strerror}")
+        raise DataError(f"cannot write {exc.filename}: {exc.strerror or exc}")
 
 
 def _parse_position(args) -> rules.Position:
@@ -108,8 +110,7 @@ def _parsed_games(paths: List[str], reports: List[str], max_depth: int,
 
 def cmd_build(args) -> int:
     for path in args.pgn:
-        if not os.path.exists(path):
-            raise DataError(f"cannot read PGN {path}: no such file")
+        _read("PGN", path, os.stat)
     reports: List[str] = []
     # filtering follows parsing, so malformed games that the filter would
     # drop are still reported
@@ -117,11 +118,9 @@ def cmd_build(args) -> int:
     built = book_mod.build_book(filter_games(games, args.min_rating), max_depth=args.depth,
                                 source=args.source or "+".join(map(os.path.basename, args.pgn)))
     try:
-        book_mod.save_book(built, args.out)
+        _write(book_mod.save_book, built, args.out)
     except book_mod.BookFormatError as exc:
         raise DataError(f"cannot write book {args.out}: {exc}")
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc.strerror or exc}")
     for line in reports:
         print(line, file=sys.stderr)
     print(f"book written to {args.out}")
@@ -131,7 +130,7 @@ def cmd_build(args) -> int:
 
 def cmd_query(args) -> int:
     key = rules.position_key(_parse_position(args))
-    built = _load_book(args.book, {key})
+    built = _read("book", args.book, book_mod.load_book, {key})
     ranked = [entry for entry in book_mod.query(built, key)
               if entry.games >= args.min_games]
     print("rank\tsan\tgames\tscore%")
@@ -141,28 +140,21 @@ def cmd_query(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        suite = parse_epd_suite(args.suite)
-    except OSError as exc:
-        raise DataError(f"cannot read suite {args.suite}: {exc}")
-    except SuiteError as exc:
-        raise DataError(f"bad suite {args.suite}: {exc}")
+    suite = _read("suite", args.suite, parse_epd_suite)
     exclude = _listed_ids(args.exclude, "--exclude", {entry.position_id for entry in suite},
                           f"suite {args.suite}")
     keys = {entry.key for entry in suite}
-    book1 = _load_book(args.book1, keys)
-    book2 = _load_book(args.book2, keys)
+    book1 = _read("book", args.book1, book_mod.load_book, keys)
+    book2 = _read("book", args.book2, book_mod.load_book, keys)
     doc = report.build_report(book1, book2, suite, min_games=args.min_games,
                               resamples=args.bootstrap, seed=args.seed,
                               exclude=exclude)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot write {args.out}: {exc.strerror or exc}")
+    _write(os.makedirs, args.out, exist_ok=True)
     comparison = report.render_comparison_tsv(doc, args.precision)
     expected = report.render_expected_tsv(doc, args.precision)
     # as one set: a write that fails replaces none of the three files
-    _write({os.path.join(args.out, "comparison.tsv"): comparison,
+    _write(book_mod.write_atomic,
+           {os.path.join(args.out, "comparison.tsv"): comparison,
             os.path.join(args.out, "expected_score.tsv"): expected,
             os.path.join(args.out, "report.md"): report.render_markdown(comparison, expected)})
     print(f"report written to {args.out}")
@@ -171,14 +163,13 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _comparison_rows(path: str) -> list:
+    with open(path, "r", encoding="utf-8") as handle:
+        return report.parse_comparison_tsv(handle.read())[0]
+
+
 def cmd_plot(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as handle:
-            rows, _ = report.parse_comparison_tsv(handle.read())
-    except OSError as exc:
-        raise DataError(f"cannot read report {args.report}: {exc}")
-    except ValueError as exc:
-        raise DataError(str(exc))
+    rows = _read("report", args.report, _comparison_rows)
     # scatter_svg draws only rows with both values, so a mark on any other is lost
     marked = _listed_ids(args.mark, "--mark",
                          {row.position_id for row in rows
@@ -189,7 +180,7 @@ def cmd_plot(args) -> int:
         svg = plot.scatter_svg(points, marked)
     except plot.PlotError as exc:
         raise DataError(str(exc))
-    _write({args.out: svg})
+    _write(book_mod.write_atomic, {args.out: svg})
     print(f"plot written to {args.out}")
     return EXIT_OK
 

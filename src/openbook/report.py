@@ -9,6 +9,7 @@ carry everything needed to reproduce a run bit-exactly.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import measures, stats
@@ -193,7 +194,8 @@ def render_markdown(comparison_tsv: str, expected_tsv: str) -> str:
 def parse_comparison_tsv(text: str):
     """Read back a comparison TSV: (rows, metadata dict).
 
-    Summary rows (Avg/Std) are not returned as comparison rows.
+    Summary rows (Avg/Std) are not returned as comparison rows. A value
+    that is not finite, which the renderer never writes, is a ValueError.
     """
     metadata = {}
     rows: List[ComparisonRow] = []
@@ -217,7 +219,9 @@ def parse_comparison_tsv(text: str):
             continue
         if len(cells) != 5:
             raise ValueError(f"bad comparison TSV row: {line!r}")
-
-        rows.append(ComparisonRow(cells[0], *(None if cell == UNDEFINED else float(cell)
-                                              for cell in cells[1:])))
+        values = [None if cell == UNDEFINED else float(cell) for cell in cells[1:]]
+        for column, value in zip(ComparisonRow._fields[1:], values):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"non-finite {column} in comparison TSV row: {line!r}")
+        rows.append(ComparisonRow(cells[0], *values))
     return rows, metadata

@@ -2,6 +2,7 @@ import hashlib
 import io
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -102,6 +103,34 @@ class TestBuild:
         with pytest.raises(ValueError, match=r"^game 3: illegal SAN 'Ke7' in "
                                              r"rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w "):
             build_book([bad, game(["d4"], "0-1")], max_depth=2)
+
+    def test_peak_memory_is_the_book_it_returns(self):
+        """build_book turns its counts into MoveStats in place, so it never
+        holds much more than the book it returns."""
+        rng = random.Random(7)
+        lines = []
+        for _ in range(200):
+            p = rules.initial_position()
+            tokens = []
+            for _ in range(20):
+                moves = rules.legal_moves(p)
+                if not moves:
+                    break
+                m = rng.choice(moves)
+                tokens.append(rules.emit_san(p, m))
+                p = rules._apply(p, m)
+            lines += ['[Result "1-0"]', "", " ".join(tokens) + " 1-0", ""]
+        records = list(parse_pgn_stream(lines, 20))
+        assert all(isinstance(r, GameRecord) and r.plies for r in records)
+        assert len(records) == 200
+        tracemalloc.start()
+        try:
+            built = build_book(records, max_depth=20)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert built.games == 200
+        assert peak <= 1.25 * held
 
 
 class TestQuery:

@@ -749,12 +749,56 @@ class TestCliPlot:
                         for line in table)
         assert rows == 2  # one row in each table
 
+    @pytest.mark.parametrize("cell, reason", [
+        ("nan", "non-finite jsd in comparison TSV row: 'b\\t0.75\\t1\\tnan\\t1'"),
+        ("-inf", "non-finite jsd in comparison TSV row: 'b\\t0.75\\t1\\t-inf\\t1'"),
+        ("x", "could not convert string to float: 'x'"),
+    ], ids=["nan", "-inf", "x"])
+    def test_bad_cell_is_data_error_naming_the_report(self, cell, reason, tmp_path, capsys):
+        """A cell that is not a finite number, which compare never writes,
+        would give an SVG with nan coordinates; it is a data error instead."""
+        report_path = tmp_path / "report.tsv"
+        report_path.write_text("pos\tm_measure\tmax_m\tjsd\toverlap\n"
+                               f"a\t0.5\t1\t0.25\t1\nb\t0.75\t1\t{cell}\t1\n")
+        assert main(["plot", "--report", str(report_path),
+                     "--out", str(tmp_path / "o.svg")]) == 2
+        assert capsys.readouterr() == ("", f"openbook: bad report file {report_path}: {reason}\n")
+        assert os.listdir(tmp_path) == ["report.tsv"]
+
     def test_plot_without_defined_pairs_is_data_error(self, tmp_path, capsys):
         report_path = tmp_path / "empty.tsv"
         report_path.write_text("pos\tm_measure\tmax_m\tjsd\toverlap\n"
                                "x\tundefined\tundefined\tundefined\tundefined\n")
         assert main(["plot", "--report", str(report_path),
                      "--out", str(tmp_path / "o.svg")]) == 2
+
+
+@pytest.mark.parametrize("state, code", [("missing", errno.ENOENT),
+                                         ("directory", errno.EISDIR)])
+@pytest.mark.parametrize("option, kind", [
+    ("--pgn", "PGN"), ("--book", "book"), ("--book1", "book"), ("--book2", "book"),
+    ("--suite", "suite"), ("--report", "report")])
+def test_unreadable_input_is_one_data_error(option, kind, state, code, built_books,
+                                            suite3_path, tmp_path, monkeypatch, capsys):
+    """Every file a command reads fails alike: one line that names its kind,
+    its path and the OS's reason, exit code 2, and nothing written."""
+    argv = next(argv for argv in (
+        ["build", "--pgn", "input", "--out", "o.book"],
+        ["query", "--book", "input", "--fen", rules.START_FEN],
+        ["compare", "--book1", built_books[0], "--book2", built_books[1],
+         "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000", "--out", "report"],
+        ["plot", "--report", "input", "--out", "o.svg"]) if option in argv)
+    argv[argv.index(option) + 1] = "input"
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    if state == "directory":
+        os.mkdir("input")
+    before = os.listdir()
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"openbook: cannot read {kind} input: "
+                                       f"{os.strerror(code)}\n")
+    assert os.listdir() == before
 
 
 def test_outputs_get_the_mode_of_the_umask(pb_mini_path, comp_mini_path, suite3_path,
@@ -795,6 +839,14 @@ def test_cli_import_leaves_numpy_unloaded():
                     "print(*[m for m in ('dataclasses', 'fractions', 'numpy') if m in sys.modules])\n"
                     f"print(*[n for n in {TRACED_LAYERS!r} if 'openbook.' + n not in sys.modules])")
     assert out == "\n\n"
+
+
+def test_one_module_import_loads_no_other_openbook_module():
+    """The package root re-exports nothing, so ``from openbook import rules``
+    loads only the package and that module."""
+    out = run_fresh("import sys\nfrom openbook import rules\n"
+                    "print(*sorted(n for n in sys.modules if n.split('.')[0] == 'openbook'))")
+    assert out == "openbook openbook.rules\n"
 
 
 def test_compare_leaves_numpy_ma_unloaded(built_books, suite3_path, tmp_path):
