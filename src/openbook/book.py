@@ -3,9 +3,10 @@
 A book maps canonical position keys (4-field FEN with normalized en
 passant) to per-move statistics, so transpositions aggregate. Building
 counts the keys and SANs that the one replay of each game in ``pgn``
-recorded. The file format is line oriented, sorted, and checksummed,
-which makes books diff-able and merge results bit-identical to
-sequential builds. Loading checks a file in one pass over its lines.
+recorded, for the games that enter a book. The file format is line
+oriented, sorted, and checksummed, which makes books diff-able and merge
+results bit-identical to sequential builds. Loading checks a file in one
+pass over its lines.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import os
 import re
 from typing import Dict, Iterable, List, NamedTuple
 
-from . import pgn
 from .pgn import GameRecord
 
 FORMAT_HEADER = "openbook-diff v1"
@@ -92,27 +92,18 @@ _RESULT_TALLY = {"1-0": (1, 0, 0), "1/2-1/2": (0, 1, 0), "0-1": (0, 0, 1)}
 def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "") -> Book:
     """Accumulate move statistics over the first ``max_depth`` plies of each game.
 
-    Games with unknown results carry no score information and are skipped.
-    A game counts the ``plies`` that ``parse_pgn_stream`` recorded as it
-    replayed it, if they reach ``max_depth``. Any other game, such as one
-    built by hand, is replayed here, once, from its FEN tag's position if
-    it has one; a game whose moves do not all replay, even past
-    ``max_depth``, raises ValueError and adds nothing.
+    ``games`` are records of games that enter a book, as filter_games
+    passes them. Each adds the ``plies`` that ``parse_pgn_stream``
+    recorded as it replayed it, cut to ``max_depth``, so it should have
+    been parsed at ``max_depth`` or deeper.
     """
     if max_depth < 1:
         raise ValueError(f"max_depth must be >= 1, got {max_depth}")
     counts: dict = {}
     total_games = 0
     for game in games:
-        tally = _RESULT_TALLY.get(game.result)
-        if tally is None:
-            continue
-        plies = game.plies
-        if plies is None or len(plies) < min(max_depth, len(game.moves)):
-            plies = pgn._replay(game.tags, game.moves, game.game_index, max_depth)
-            if isinstance(plies, pgn.MalformedGame):
-                raise ValueError(f"game {plies.game_index}: {plies.reason}")
-        for key, san in plies[:max_depth]:
+        tally = _RESULT_TALLY[game.result]
+        for key, san in game.plies[:max_depth]:
             entry = counts.setdefault(key, {}).setdefault(san, [0, 0, 0, 0])
             entry[0] += 1
             entry[1] += tally[0]

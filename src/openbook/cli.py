@@ -93,10 +93,10 @@ def _listed_ids(text: str, option: str, known: set, where: str) -> List[str]:
 
 def _parsed_games(paths: List[str], reports: List[str], max_depth: int,
                   min_rating: Optional[int]):
-    """The games of the PGN files, in order, as they are parsed, each game
-    that passes the filter at ``min_rating`` with the plies it adds to a
-    book at ``max_depth``; skip lines, naming the file, go to ``reports``,
-    and a file that cannot be read is a DataError naming it."""
+    """The games of the PGN files, in order, as they are parsed, each with
+    the plies it adds to a book at ``max_depth`` (None if ``min_rating`` or
+    its result keeps it out); skip lines, naming the file, go to
+    ``reports``, and a file that cannot be read is a DataError naming it."""
     for path in paths:
         try:
             for item in parse_pgn_stream(path, max_depth, min_rating):
@@ -112,10 +112,8 @@ def cmd_build(args) -> int:
     for path in args.pgn:
         _read("PGN", path, os.stat)
     reports: List[str] = []
-    # filtering follows parsing, so malformed games that the filter would
-    # drop are still reported
     games = _parsed_games(args.pgn, reports, args.depth, args.min_rating)
-    built = book_mod.build_book(filter_games(games, args.min_rating), max_depth=args.depth,
+    built = book_mod.build_book(filter_games(games), max_depth=args.depth,
                                 source=args.source or "+".join(map(os.path.basename, args.pgn)))
     try:
         _write(book_mod.save_book, built, args.out)

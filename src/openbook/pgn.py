@@ -4,9 +4,10 @@ Parses a PGN file into game records, keeping only the mainline. Comments,
 NAGs and recursive variations are dropped, in one strip of each game's
 movetext: a regex pass if it holds only brace comments, else a jump scan.
 Each game is replayed once, on one mutable ``rules._Board``, as it is
-parsed: the replay validates every move and, for a game that will enter a
-book, keys and SANs its first plies on the way. Broken games are reported
-and skipped instead of aborting the stream.
+parsed, and its fate is decided there: the replay validates every move,
+and a record's ``plies`` is None exactly when the game enters no book;
+otherwise it holds the key and SAN of the game's first plies. Broken games
+are reported and skipped instead of aborting the stream.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ _SAN_FIRST = frozenset("abcdefghNBRQKO")  # which start no result, number, NAG o
 class GameRecord(NamedTuple):
     """One parsed game: tag pairs, mainline SAN tokens, result.
 
-    ``plies`` is what the game adds to a book: the position key and the
-    canonical SAN of each of its first plies, as many as the ``max_depth``
-    that parse_pgn_stream was given, if the game passes the filter there;
-    otherwise None.
+    ``plies`` is None exactly when the game enters no book (``_passes``
+    fails); otherwise it is what the game adds to one: the position key and
+    the canonical SAN of each of its first plies, as many as the
+    ``max_depth`` that parse_pgn_stream was given.
     """
 
     tags: dict
     moves: Tuple[str, ...]
     result: str  # one of RESULTS
-    game_index: int = 0  # 1-based position in its PGN source; 0 if built by hand
-    plies: Optional[Tuple[Tuple[str, str], ...]] = None
+    game_index: int  # 1-based position in its PGN source
+    plies: Optional[Tuple[Tuple[str, str], ...]]
 
 
 class MalformedGame(NamedTuple):
@@ -48,9 +49,7 @@ class MalformedGame(NamedTuple):
 
     game_index: int
     reason: str
-    tags: dict
     move_index: Optional[int] = None
-    fen: Optional[str] = None
 
 
 def _decode(raw: bytes) -> str:
@@ -167,8 +166,9 @@ def parse_pgn_stream(source, max_depth: int = 0, min_rating: Optional[int] = Non
     brace comment open; lines with no "}" in an open one are not stripped.
 
     Every game is replayed to its end, and one whose moves do not all
-    replay is reported. A game that filter_games would pass at
-    ``min_rating`` carries the ``plies`` of its first ``max_depth`` moves.
+    replay is reported. A game that enters a book at ``min_rating`` carries
+    the ``plies`` of its first ``max_depth`` moves; any other has ``plies``
+    None.
     """
     tags: dict = {}
     lines: list = []  # movetext lines, not yet stripped into mainline
@@ -216,36 +216,33 @@ def _finish_game(tags: dict, movetext: str, game_index: int, max_depth: int = 0,
     tag_result = tags.get("Result")
     if marker is not None and tag_result in RESULTS and tag_result != marker:
         return MalformedGame(game_index,
-                             f"result tag {tag_result!r} contradicts marker {marker!r}",
-                             tags=tags)
+                             f"result tag {tag_result!r} contradicts marker {marker!r}")
     result = marker or (tag_result if tag_result in RESULTS else "*")
     # the filter reads only tags and the result, so it decides before the replay
-    recorded = max_depth > 0 and _passes(tags, result, min_rating)
-    plies = _replay(tags, tokens, game_index, max_depth if recorded else 0)
+    recorded = _passes(tags, result, min_rating)
+    plies = _replay(tags.get("FEN"), tokens, game_index, max_depth if recorded else 0)
     if isinstance(plies, MalformedGame):
         return plies
     return GameRecord(tags, tuple(tokens), result, game_index, plies if recorded else None)
 
 
-def _replay(tags: dict, moves, game_index: int,
+def _replay(fen: Optional[str], moves, game_index: int,
             max_depth: int) -> Union[Tuple[Tuple[str, str], ...], MalformedGame]:
-    """Replay ``moves`` from the game's start position (its FEN tag's, else
-    the initial one), resolving and pushing each once on one
+    """Replay ``moves`` from the game's start position (its FEN tag's
+    ``fen``, else the initial one), resolving and pushing each once on one
     ``rules._Board``. Return the position key (before the push) and the
     canonical SAN (after it) of each of the first ``max_depth`` plies, or
     the MalformedGame that says where the replay failed."""
-    fen = tags.get("FEN")
     try:
         board = rules._Board(rules.parse_fen(fen) if fen else _INITIAL_POSITION)
     except rules.FenError as exc:
-        return MalformedGame(game_index, f"bad FEN tag: {exc}", tags=tags)
+        return MalformedGame(game_index, f"bad FEN tag: {exc}")
     plies = []
     for index, token in enumerate(moves):
         try:
             move, pool = rules._resolve(board, token)
         except rules.IllegalMoveError as exc:
-            return MalformedGame(game_index, str(exc), move_index=index,
-                                 fen=rules.emit_fen(board.position()), tags=tags)
+            return MalformedGame(game_index, str(exc), move_index=index)
         if index < max_depth:
             key = board.key()
             board.push(move)
@@ -268,9 +265,10 @@ def _passes(tags: dict, result: str, min_rating: Optional[int]) -> bool:
         for r in (tags.get("WhiteElo", ""), tags.get("BlackElo", ""))))
 
 
-def filter_games(games: Iterable[GameRecord],
-                 min_rating: Optional[int] = None) -> Iterator[GameRecord]:
-    """Pass through, in order, the games that enter a book (``_passes``)."""
+def filter_games(games: Iterable[Union[GameRecord, MalformedGame]]) -> Iterator[GameRecord]:
+    """Pass through, in order, the records of the games that enter a book,
+    as parse_pgn_stream decided: those whose ``plies`` is not None. Reports
+    of malformed games are dropped."""
     for game in games:
-        if _passes(game.tags, game.result, min_rating):
+        if isinstance(game, GameRecord) and game.plies is not None:
             yield game

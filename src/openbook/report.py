@@ -19,6 +19,7 @@ from .stats import BootstrapResult, PairedSample
 from .suite import SuiteEntry
 
 UNDEFINED = "undefined"
+COMPARISON_HEADER = "pos\tm_measure\tmax_m\tjsd\toverlap"
 
 
 class CorrelationBlock(NamedTuple):
@@ -155,7 +156,7 @@ def _tsv(doc: ReportDocument, header: str, fields: Sequence[str], lead: int,
 
 
 def render_comparison_tsv(doc: ReportDocument, precision: str = "3") -> str:
-    return _tsv(doc, "pos\tm_measure\tmax_m\tjsd\toverlap", ComparisonRow._fields, 1,
+    return _tsv(doc, COMPARISON_HEADER, ComparisonRow._fields, 1,
                 doc.comparison_rows, doc.comparison_summary, precision,
                 _correlation_lines(doc, precision))
 
@@ -194,8 +195,9 @@ def render_markdown(comparison_tsv: str, expected_tsv: str) -> str:
 def parse_comparison_tsv(text: str):
     """Read back a comparison TSV: (rows, metadata dict).
 
-    Summary rows (Avg/Std) are not returned as comparison rows. A value
-    that is not finite, which the renderer never writes, is a ValueError.
+    Summary rows (Avg/Std) are not returned as comparison rows. A header
+    other than ``COMPARISON_HEADER``, or a value that is not finite, which
+    the renderer never writes, is a ValueError.
     """
     metadata = {}
     rows: List[ComparisonRow] = []
@@ -209,12 +211,12 @@ def parse_comparison_tsv(text: str):
             continue
         if not line.strip():
             continue
-        cells = line.split("\t")
         if not header_seen:
-            if cells[0] != "pos":
+            if line != COMPARISON_HEADER:
                 raise ValueError(f"bad comparison TSV header: {line!r}")
             header_seen = True
             continue
+        cells = line.split("\t")
         if cells[0] in ("Avg", "Std"):
             continue
         if len(cells) != 5:

@@ -1,12 +1,68 @@
 """Reference implementations that tests compare the library against."""
 
 import math
+import re
 from typing import List
 
 from openbook.book import RankedMove
 from openbook.measures import MoveDistribution
-from openbook.rules import WHITE, Position, _attacked, legal_moves
+from openbook.pgn import GameRecord, parse_pgn_stream
+from openbook.rules import (
+    WHITE,
+    IllegalMoveError,
+    Position,
+    _apply,
+    _attacked,
+    emit_san,
+    legal_moves,
+    parse_fen,
+    parse_san,
+    position_key,
+)
 from openbook.stats import StatsError
+
+
+def recorded(moves, result) -> GameRecord:
+    """The record that parse_pgn_stream makes of a game with no tags, the
+    mainline ``moves`` and ``result``: it carries the plies of all its
+    moves, or None if ``result`` is "*"."""
+    record = next(parse_pgn_stream([" ".join(moves) + " " + result], len(moves)))
+    assert isinstance(record, GameRecord), record
+    return record
+
+
+def reference_book(games, depth: int, min_rating=None):
+    """The game count and the counts of the book that ``games`` give at
+    ``depth``, each game a (fen, tokens, result, elos) with ``elos`` its
+    WhiteElo and BlackElo tag values (None where a tag is absent).
+
+    A game enters the book if its result is not "*", every token replays,
+    and, with ``min_rating``, both elos are ASCII digits at or above it.
+    The counts map each key and SAN to [games, white wins, draws, black
+    wins] over the game's first ``depth`` plies, replayed one Position per
+    ply through parse_san, emit_san, position_key and _apply.
+    """
+    entered = 0
+    counts: dict = {}
+    for fen, tokens, result, elos in games:
+        if result == "*" or min_rating is not None and not all(
+                elo is not None and re.fullmatch("[0-9]+", elo) and int(elo) >= min_rating
+                for elo in elos):
+            continue
+        pos, plies = parse_fen(fen), []
+        try:
+            for token in tokens:
+                move = parse_san(pos, token)
+                plies.append((position_key(pos), emit_san(pos, move)))
+                pos = _apply(pos, move)
+        except IllegalMoveError:
+            continue
+        entered += 1
+        for key, san in plies[:depth]:
+            entry = counts.setdefault(key, {}).setdefault(san, [0, 0, 0, 0])
+            entry[0] += 1
+            entry[1 + ("1-0", "1/2-1/2", "0-1").index(result)] += 1
+    return entered, counts
 
 
 def ranked_from_counts(counts) -> List[RankedMove]:

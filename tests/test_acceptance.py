@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import refdata
-from oracles import jsd_entropy_form, normalize, ranked_from_counts
+from oracles import jsd_entropy_form, normalize, ranked_from_counts, recorded
 from openbook import rules
 from openbook.book import build_book, load_book, merge_books, save_book
 from openbook.cli import main
@@ -24,7 +24,7 @@ from openbook.measures import (
     normalize_counts,
     overlap,
 )
-from openbook.pgn import GameRecord, parse_pgn_stream
+from openbook.pgn import parse_pgn_stream
 from openbook.report import parse_comparison_tsv
 from openbook.stats import PairedSample, bootstrap_ci, mean_std, pearson
 
@@ -189,8 +189,7 @@ def _random_games(rng, count):
             move = rng.choice(moves)
             tokens.append(rules.emit_san(pos, move))
             pos = rules._apply(pos, move)
-        games.append(GameRecord({}, tuple(tokens),
-                                rng.choice(["1-0", "0-1", "1/2-1/2"])))
+        games.append(recorded(tokens, rng.choice(["1-0", "0-1", "1/2-1/2"])))
     return games
 
 

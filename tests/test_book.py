@@ -5,8 +5,10 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import ranked_from_counts
+from oracles import ranked_from_counts, recorded, reference_book
 from openbook import rules
 from openbook.book import (
     Book,
@@ -19,7 +21,7 @@ from openbook.book import (
     query,
     save_book,
 )
-from openbook.pgn import GameRecord, parse_pgn_stream
+from openbook.pgn import GameRecord, filter_games, parse_pgn_stream
 
 
 START_KEY = rules.position_key(rules.initial_position())
@@ -27,8 +29,38 @@ E4_KEY = rules.position_key(rules.parse_fen(
     "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1"))
 
 
-def game(moves, result):
-    return GameRecord({}, tuple(moves), result)
+# the initial position, one with castles and promotions, and one with an
+# en-passant capture
+STARTS = (rules.START_FEN,
+          "r3k2r/p1ppqpb1/bn2pnp1/3PN3/1p2P3/2N2Q1p/PPPBBPPP/R3K2R w KQkq - 0 1",
+          "rnbqkbnr/pp2p1pp/8/2ppPp2/8/8/PPPP1PPP/RNBQKBNR w KQkq f6 0 4")
+
+
+@st.composite
+def drawn_games(draw):
+    """A game as a (fen, tokens, result, elos) for reference_book and as the
+    PGN text that holds it: a legal walk of up to 8 plies from one of
+    STARTS, now and then with "a1", which no pawn can play, put among its
+    tokens, and with a FEN tag unless it starts from the initial position."""
+    fen = draw(st.sampled_from(STARTS))
+    pos, tokens = rules.parse_fen(fen), []
+    for _ in range(draw(st.integers(0, 8))):
+        moves = rules.legal_moves(pos)
+        if not moves:
+            break
+        move = draw(st.sampled_from(moves))
+        tokens.append(rules.emit_san(pos, move))
+        pos = rules._apply(pos, move)
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), "a1")
+    result = draw(st.sampled_from(("1-0", "0-1", "1/2-1/2", "*")))
+    elos = tuple(draw(st.sampled_from((None, "1900", "2400", "2500", "2_400")))
+                 for _ in range(2))
+    tags = {"Result": result, "WhiteElo": elos[0], "BlackElo": elos[1],
+            "FEN": None if fen == rules.START_FEN else fen}
+    text = "".join(f'[{name} "{value}"]\n' for name, value in tags.items()
+                   if value is not None) + "\n" + " ".join(tokens + [result]) + "\n"
+    return (fen, tokens, result, elos), text
 
 
 def signed(body):
@@ -44,7 +76,8 @@ def roundtrip(book):
 
 class TestBuild:
     def test_direct_counts_and_score(self):
-        book = build_book([game(["e4"], "1-0"), game(["e4"], "1/2-1/2")], max_depth=4)
+        book = build_book([recorded(["e4"], "1-0"), recorded(["e4"], "1/2-1/2")],
+                          max_depth=4)
         ranked = query(book, rules.position_key(rules.initial_position()))
         assert len(ranked) == 1
         assert ranked[0].san == "e4"
@@ -54,8 +87,8 @@ class TestBuild:
         assert (stats.white_wins, stats.draws, stats.black_wins) == (1, 1, 0)
 
     def test_transpositions_aggregate(self):
-        book = build_book([game(["e4", "e5", "Nf3", "Nc6"], "1-0"),
-                           game(["Nf3", "e5", "e4", "Nc6"], "0-1")], max_depth=8)
+        book = build_book([recorded(["e4", "e5", "Nf3", "Nc6"], "1-0"),
+                           recorded(["Nf3", "e5", "e4", "Nc6"], "0-1")], max_depth=8)
         p = rules.initial_position()
         for token in ["e4", "e5", "Nf3"]:
             p = rules._apply(p, rules.parse_san(p, token))
@@ -68,41 +101,31 @@ class TestBuild:
         assert book.position_count == 0
 
     def test_depth_limits_recorded_plies(self):
-        book = build_book([game(["e4", "e5", "Nf3", "Nc6"], "1-0")], max_depth=2)
+        book = build_book([recorded(["e4", "e5", "Nf3", "Nc6"], "1-0")], max_depth=2)
         assert book.position_count == 2
 
     def test_unknown_result_games_skipped(self):
-        book = build_book([game(["e4"], "*")], max_depth=4)
+        book = build_book(filter_games([recorded(["e4"], "*")]), max_depth=4)
         assert book.games == 0
 
     def test_depth_below_one_rejected(self):
         with pytest.raises(ValueError):
             build_book([], max_depth=0)
 
-    def test_recorded_plies_serve_any_depth(self):
-        """A record parsed at one depth builds the book a hand-built record
-        builds at any depth: its plies are cut, or it is replayed."""
-        text = '[Result "1-0"]\n\n1. e4 e5 2. Nf3 Nc6 3. Bb5 1-0\n'
-        hand = game(["e4", "e5", "Nf3", "Nc6", "Bb5"], "1-0")
-        for parsed_at in (1, 3, 5, 8):
-            parsed = list(parse_pgn_stream(io.StringIO(text), max_depth=parsed_at))
-            assert len(parsed[0].plies) == min(parsed_at, 5)
-            for depth in (1, 3, 5, 8):
-                assert build_book(parsed, max_depth=depth) == build_book([hand], max_depth=depth)
-
-    def test_replay_failure_reported_with_source_game_index(self):
-        bad = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=7)
-        # the position after 1. e4, where Ke7 is the second move
-        with pytest.raises(ValueError, match=r"^game 7: illegal SAN 'Ke7' in "
-                                             r"rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b "):
-            build_book([game(["d4"], "1-0"), bad], max_depth=4)
-
-    def test_illegal_token_past_depth_reported_and_not_recorded(self):
-        bad = GameRecord({}, ("e4", "e5", "Ke7"), "1-0", game_index=3)
-        # the position after 1. e4 e5, where Ke7 is the third move
-        with pytest.raises(ValueError, match=r"^game 3: illegal SAN 'Ke7' in "
-                                             r"rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w "):
-            build_book([bad, game(["d4"], "0-1")], max_depth=2)
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(drawn_games(), max_size=5), st.integers(1, 6),
+           st.sampled_from((None, 2000, 2400)))
+    def test_parsed_games_build_the_reference_book(self, drawn, depth, min_rating):
+        """Parsing at a depth and rating, filtering and building give the
+        book that the reference replay counts, with its own rating and
+        result rule, from the games the PGN text was written from."""
+        text = "\n".join(pgn for _, pgn in drawn)
+        built = build_book(filter_games(parse_pgn_stream(io.StringIO(text), depth, min_rating)),
+                           depth)
+        entered, counts = reference_book([game for game, _ in drawn], depth, min_rating)
+        assert built.games == entered
+        assert {key: {san: list(stats[1:]) for san, stats in moves.items()}
+                for key, moves in built.positions.items()} == counts
 
     def test_peak_memory_is_the_book_it_returns(self):
         """build_book turns its counts into MoveStats in place, so it never
@@ -135,19 +158,19 @@ class TestBuild:
 
 class TestQuery:
     def test_rank_order_follows_popularity(self):
-        games = [game(["e4"], "1-0")] * 3 + [game(["d4"], "1-0")] * 5
+        games = [recorded(["e4"], "1-0")] * 3 + [recorded(["d4"], "1-0")] * 5
         ranked = query(build_book(games, max_depth=2),
                        rules.position_key(rules.initial_position()))
         assert [(e.rank, e.san) for e in ranked] == [(1, "d4"), (2, "e4")]
 
     def test_tie_breaks_lexicographically(self):
-        games = [game(["e4"], "1-0"), game(["d4"], "1-0"), game(["c4"], "1-0")]
+        games = [recorded(["e4"], "1-0"), recorded(["d4"], "1-0"), recorded(["c4"], "1-0")]
         ranked = query(build_book(games, max_depth=2),
                        rules.position_key(rules.initial_position()))
         assert [e.san for e in ranked] == ["c4", "d4", "e4"]
 
     def test_absent_position_gives_empty_list(self):
-        book = build_book([game(["e4"], "1-0")], max_depth=2)
+        book = build_book([recorded(["e4"], "1-0")], max_depth=2)
         absent = rules.parse_fen("4k3/8/8/8/8/8/8/4K3 w - - 0 1")
         assert query(book, rules.position_key(absent)) == []
 
@@ -159,8 +182,8 @@ class TestQuery:
 
 class TestPersistence:
     def build_sample(self):
-        games = [game(["e4", "e5"], "1-0"), game(["d4"], "1/2-1/2"),
-                 game(["e4", "c5"], "0-1")]
+        games = [recorded(["e4", "e5"], "1-0"), recorded(["d4"], "1/2-1/2"),
+                 recorded(["e4", "c5"], "0-1")]
         return build_book(games, max_depth=4, source="sample")
 
     def test_round_trip_identity(self):
@@ -186,7 +209,7 @@ class TestPersistence:
             load_book(io.StringIO(text))
 
     def test_malformed_line_reports_number(self):
-        book = build_book([game(["e4"], "1-0")], max_depth=2, source="s")
+        book = build_book([recorded(["e4"], "1-0")], max_depth=2, source="s")
         buffer = io.StringIO()
         save_book(book, buffer)
         lines = buffer.getvalue().splitlines()
@@ -247,7 +270,7 @@ class TestPersistence:
 
     @pytest.mark.parametrize("source", ["a\nb", "a\udcffb"])
     def test_unreadable_source_refused_before_writing(self, source):
-        book = build_book([game(["e4"], "1-0")], max_depth=2, source=source)
+        book = build_book([recorded(["e4"], "1-0")], max_depth=2, source=source)
         buffer = io.StringIO()
         with pytest.raises(BookFormatError, match="source"):
             save_book(book, buffer)
@@ -267,7 +290,7 @@ class TestPersistence:
         save_book(self.build_sample(), str(path))
         assert load_book(str(path)) == self.build_sample()
         before = path.read_bytes()
-        refused = build_book([game(["e4"], "1-0")], max_depth=2, source="a\nb")
+        refused = build_book([recorded(["e4"], "1-0")], max_depth=2, source="a\nb")
         with pytest.raises(BookFormatError, match="source"):
             save_book(refused, str(path))
 
@@ -368,13 +391,13 @@ class TestKeys:
 
 class TestMerge:
     def test_merge_with_empty_is_identity(self):
-        book = build_book([game(["e4"], "1-0")], max_depth=4, source="s")
+        book = build_book([recorded(["e4"], "1-0")], max_depth=4, source="s")
         empty = build_book([], max_depth=4, source="s")
         assert merge_books(book, empty) == book
 
     def test_merge_commutes(self):
-        a = build_book([game(["e4"], "1-0")], max_depth=4, source="s")
-        b = build_book([game(["d4"], "0-1")], max_depth=4, source="s")
+        a = build_book([recorded(["e4"], "1-0")], max_depth=4, source="s")
+        b = build_book([recorded(["d4"], "0-1")], max_depth=4, source="s")
         assert merge_books(a, b) == merge_books(b, a)
 
     def test_depth_mismatch_rejected(self):
@@ -396,7 +419,7 @@ class TestMerge:
                 m = rng.choice(moves)
                 tokens.append(rules.emit_san(p, m))
                 p = rules._apply(p, m)
-            games.append(game(tokens, rng.choice(["1-0", "0-1", "1/2-1/2"])))
+            games.append(recorded(tokens, rng.choice(["1-0", "0-1", "1/2-1/2"])))
         whole = build_book(games, max_depth=6, source="s")
         for cut in (1, 10, 15, 29):
             merged = merge_books(build_book(games[:cut], max_depth=6, source="s"),
@@ -409,8 +432,8 @@ class TestMerge:
             assert buf_a.getvalue() == buf_b.getvalue()
 
     def test_build_order_invariance(self):
-        games = [game(["e4", "e5"], "1-0"), game(["d4"], "0-1"),
-                 game(["e4", "c5"], "1/2-1/2")]
+        games = [recorded(["e4", "e5"], "1-0"), recorded(["d4"], "0-1"),
+                 recorded(["e4", "c5"], "1/2-1/2")]
         forward = build_book(games, max_depth=4, source="s")
         backward = build_book(list(reversed(games)), max_depth=4, source="s")
         assert forward == backward

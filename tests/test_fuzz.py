@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import recorded
 from openbook import rules
 from openbook.book import BookFormatError, build_book, load_book, save_book
 from openbook.cli import main
@@ -83,8 +84,8 @@ def test_pgn_stream_yields_only_records_and_reports(data):
 
 
 def _saved_book():
-    games = [GameRecord({}, ("e4", "e5", "Nf3"), "1-0"), GameRecord({}, ("d4",), "0-1"),
-             GameRecord({}, ("e4", "c5"), "1/2-1/2")]
+    games = [recorded(["e4", "e5", "Nf3"], "1-0"), recorded(["d4"], "0-1"),
+             recorded(["e4", "c5"], "1/2-1/2")]
     buffer = io.BytesIO()
     save_book(build_book(games, max_depth=3, source="fuzz"), buffer)
     return buffer.getvalue()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from openbook import pgn, rules
-from openbook.book import build_book, load_book
+from openbook.book import load_book
 from openbook.cli import main
 from openbook.pgn import (
     NULL_MOVE_TOKENS,
@@ -56,7 +56,9 @@ def test_illegal_move_reported_with_index_and_fen():
     report = games[0]
     assert isinstance(report, MalformedGame)
     assert report.move_index == 2
-    assert "4P3" in report.fen  # position after 1.e4 e5
+    # the position after 1.e4 e5
+    assert report.reason == ("illegal SAN 'Ke3' in "
+                             "rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w KQkq - 0 2")
 
 
 def test_null_move_truncates_but_keeps_prefix():
@@ -146,6 +148,7 @@ def test_move_numbers_null_moves_and_results(movetext, expected):
 
 def test_filter_drops_unknown_results_by_default():
     games = parse('[Result "*"]\n\n1. e4 *\n\n[Result "1-0"]\n\n1. d4 1-0')
+    assert [g.plies for g in games] == [None, ()]
     kept = list(filter_games(games))
     assert [g.result for g in kept] == ["1-0"]
 
@@ -161,8 +164,9 @@ def test_min_rating_filter():
             '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n\n'
             '[WhiteElo "2450"]\n[Result "0-1"]\n\n1. c4 0-1\n\n'
             '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "*"]\n\n1. Nf3 *\n')
-    games = parse(text)
-    kept = list(filter_games(games, 2400))
+    games = list(parse_pgn_stream(io.StringIO(text), min_rating=2400))
+    assert [g.plies for g in games] == [None, (), None, None]
+    kept = list(filter_games(games))
     assert [g.moves for g in kept] == [("d4",)]
 
 
@@ -172,9 +176,9 @@ def test_min_rating_filter():
 def test_min_rating_needs_ascii_digits(elo):
     text = (f'[WhiteElo "{elo}"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n1. e4 1-0\n\n'
             '[WhiteElo "2400"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n')
-    games = parse(text)
-    assert [g.moves for g in filter_games(games, 2400)] == [("d4",)]
-    assert len(list(filter_games(games))) == 2
+    rated = parse_pgn_stream(io.StringIO(text), min_rating=2400)
+    assert [g.moves for g in filter_games(rated)] == [("d4",)]
+    assert len(list(filter_games(parse(text)))) == 2
 
 
 def test_games_replay_cleanly(pb_mini_path):
@@ -225,24 +229,18 @@ def test_tag_lines_inside_a_comment_are_stripped_once(variation, monkeypatch):
 
 def test_line_replays_moves_once_and_is_kept():
     """The replay that validates a game keys and SANs its first plies, and
-    the record keeps them only if the game passes the filter."""
+    the record keeps them only if the game passes the filter; at depth 0 a
+    game that passes keeps no plies, yet not None."""
     start = rules.initial_position()
     after_e4 = rules._apply(start, rules.parse_san(start, "e4"))
     game = next(parse_pgn_stream(io.StringIO(SIMPLE), max_depth=2))
     assert game.plies == ((rules.position_key(start), "e4"),
                           (rules.position_key(after_e4), "e5"))
     assert game == parse(SIMPLE)[0]._replace(plies=game.plies)
-    assert parse(SIMPLE)[0].plies is None
+    assert parse(SIMPLE)[0].plies == ()
     assert next(parse_pgn_stream(io.StringIO(SIMPLE), 2, min_rating=1)).plies is None
     assert next(parse_pgn_stream(io.StringIO(SIMPLE.replace('"1-0"', '"*"').replace(
         " 1-0", " *")), 2)).plies is None
-
-
-def test_hand_built_record_replays_on_first_use():
-    game = GameRecord({}, ("e4", "Ke7"), "1-0", game_index=5)
-    with pytest.raises(ValueError, match=r"^game 5: illegal SAN 'Ke7' in "
-                                         r"rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b "):
-        build_book([game], max_depth=4)
 
 
 WALK_STARTS = [

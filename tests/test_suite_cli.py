@@ -765,6 +765,23 @@ class TestCliPlot:
         assert capsys.readouterr() == ("", f"openbook: bad report file {report_path}: {reason}\n")
         assert os.listdir(tmp_path) == ["report.tsv"]
 
+    @pytest.mark.parametrize("header", [
+        "pos\tjsd\tmax_m\tm_measure\toverlap",
+        "pos\tm_measure\tmax_m\tjsd",
+        "pos\tM\tmax_m\tjsd\toverlap",
+    ], ids=["reordered", "short", "renamed"])
+    def test_header_other_than_compares_is_data_error(self, header, tmp_path, capsys):
+        """plot reads the cells in the order compare writes them, so a report
+        with any other header, which would draw one column as another, is
+        a data error, and no SVG is written."""
+        report_path = tmp_path / "report.tsv"
+        report_path.write_text(f"{header}\na\t0.25\t1\t0.5\t1\nb\t0.5\t1\t0.75\t1\n")
+        assert main(["plot", "--report", str(report_path),
+                     "--out", str(tmp_path / "o.svg")]) == 2
+        assert capsys.readouterr() == (
+            "", f"openbook: bad report file {report_path}: bad comparison TSV header: {header!r}\n")
+        assert os.listdir(tmp_path) == ["report.tsv"]
+
     def test_plot_without_defined_pairs_is_data_error(self, tmp_path, capsys):
         report_path = tmp_path / "empty.tsv"
         report_path.write_text("pos\tm_measure\tmax_m\tjsd\toverlap\n"
