@@ -6,7 +6,9 @@ counts the keys and SANs that the one replay of each game in ``pgn``
 recorded, for the games that enter a book. The file format is line
 oriented, sorted, and checksummed, which makes books diff-able and merge
 results bit-identical to sequential builds. Loading checks a file in one
-pass over its lines.
+pass over its lines. ``query`` gives a position's ``MoveStats`` in rank
+order, the ranked list that ``measures`` reads, so a move's rank is its
+place in that list.
 """
 
 from __future__ import annotations
@@ -46,15 +48,6 @@ class MoveStats(NamedTuple):
         return 100.0 * (self.white_wins + self.draws / 2.0) / self.games
 
 
-class RankedMove(NamedTuple):
-    """One row of a per-position ranked move table."""
-
-    rank: int
-    san: str
-    games: int
-    score_percent: float
-
-
 class Book(NamedTuple):
     """Per-position per-move statistics plus build metadata."""
 
@@ -73,17 +66,10 @@ def _by_rank(stats: MoveStats) -> tuple:
     return -stats.games, stats.san
 
 
-def _rank_entries(stats: Iterable[MoveStats]) -> List[RankedMove]:
-    return [RankedMove(i + 1, s.san, s.games, s.score_percent)
-            for i, s in enumerate(sorted(stats, key=_by_rank))]
-
-
-def query(book: Book, key: str) -> List[RankedMove]:
-    """Ranked moves at a position key (``rules.position_key``); empty if not booked."""
-    stats = book.positions.get(key)
-    if not stats:
-        return []
-    return _rank_entries(stats.values())
+def query(book: Book, key: str) -> List[MoveStats]:
+    """The moves at a position key (``rules.position_key``) in rank order, so
+    a move's rank is its place from 1; empty if the position is not booked."""
+    return sorted(book.positions.get(key, {}).values(), key=_by_rank)
 
 
 _RESULT_TALLY = {"1-0": (1, 0, 0), "1/2-1/2": (0, 1, 0), "0-1": (0, 0, 1)}

@@ -48,8 +48,9 @@ def _at_least(minimum: int):
 
 
 def _precision(text: str) -> str:
-    if text != "full" and not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"must be 'full' or at least 0, got {text!r}")
+    # "full" writes each value exactly; past 17 places a double prints only noise
+    if text != "full" and not (text.isascii() and text.isdigit() and int(text) <= 17):
+        raise argparse.ArgumentTypeError(f"must be 'full' or 0 to 17, got {text!r}")
     return text
 
 
@@ -129,11 +130,11 @@ def cmd_build(args) -> int:
 def cmd_query(args) -> int:
     key = rules.position_key(_parse_position(args))
     built = _read("book", args.book, book_mod.load_book, {key})
-    ranked = [entry for entry in book_mod.query(built, key)
-              if entry.games >= args.min_games]
     print("rank\tsan\tgames\tscore%")
-    for entry in ranked:
-        print(f"{entry.rank}\t{entry.san}\t{entry.games}\t{entry.score_percent:.3f}")
+    # a rank is a place in the whole list, whose moves below --min-games come last
+    for rank, entry in enumerate(book_mod.query(built, key), 1):
+        if entry.games >= args.min_games:
+            print(f"{rank}\t{entry.san}\t{entry.games}\t{entry.score_percent:.3f}")
     return EXIT_OK
 
 
@@ -148,13 +149,10 @@ def cmd_compare(args) -> int:
                               resamples=args.bootstrap, seed=args.seed,
                               exclude=exclude)
     _write(os.makedirs, args.out, exist_ok=True)
-    comparison = report.render_comparison_tsv(doc, args.precision)
-    expected = report.render_expected_tsv(doc, args.precision)
     # as one set: a write that fails replaces none of the three files
     _write(book_mod.write_atomic,
-           {os.path.join(args.out, "comparison.tsv"): comparison,
-            os.path.join(args.out, "expected_score.tsv"): expected,
-            os.path.join(args.out, "report.md"): report.render_markdown(comparison, expected)})
+           {os.path.join(args.out, name): text
+            for name, text in report.render_files(doc, args.precision).items()})
     print(f"report written to {args.out}")
     if doc.metadata["undefined_cells"] != "0":
         print(f"undefined cells: {doc.metadata['undefined_cells']}")

@@ -7,6 +7,8 @@ Plus the expected percentage score of a booked position. A measure that
 is undefined raises UndefinedMeasureError; the per-position rows turn it
 into a None cell through one rule, ``_or_none``.
 
+A ranked list is a position's ``MoveStats`` in rank order, as
+``book.query`` gives them, so a move's rank is its place from 1.
 Reciprocal ranks are exact: integers over one common denominator. A move
 missing from a list of length k gets rank k + 1 before the reciprocal.
 """
@@ -16,9 +18,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .book import RankedMove
+from .book import MoveStats
 
-RankedList = Sequence[RankedMove]
+RankedList = Sequence[MoveStats]
 MoveDistribution = Dict[str, float]
 
 
@@ -41,13 +43,13 @@ def _exact(a: RankedList, b: RankedList, k1: int, k2: int) -> Tuple[int, dict, i
 
     Returns (den, pairs, bound): ``pairs`` maps each move of the union to
     its numerators in a and b, and bound / den is maxM for lengths k1, k2.
-    den is the lcm of every rank present, of 1..max(k1, k2) and of k1 + 1
-    and k2 + 1, so every reciprocal rank involved is a multiple of 1/den.
+    den is the lcm of 1..max(k1, k2) and of k1 + 1 and k2 + 1, so every
+    reciprocal rank involved, a place in a or b or a missing move's, is a
+    multiple of 1/den.
     """
-    ranks_a = {e.san: e.rank for e in a}
-    ranks_b = {e.san: e.rank for e in b}
-    den = math.lcm(k1 + 1, k2 + 1, *range(2, max(k1, k2) + 1),
-                   *ranks_a.values(), *ranks_b.values())
+    ranks_a = {e.san: rank for rank, e in enumerate(a, 1)}
+    ranks_b = {e.san: rank for rank, e in enumerate(b, 1)}
+    den = math.lcm(k1 + 1, k2 + 1, *range(2, max(k1, k2) + 1))
     missing_a = den // (k1 + 1)
     missing_b = den // (k2 + 1)
     pairs = {san: (den // ranks_a[san] if san in ranks_a else missing_a,
@@ -84,7 +86,7 @@ def m_measure(a: RankedList, b: RankedList) -> float:
     return _m_and_max(a, b)[0]
 
 
-def _surviving(a: RankedList, min_games: int) -> Tuple[List[RankedMove], int]:
+def _surviving(a: RankedList, min_games: int) -> Tuple[List[MoveStats], int]:
     """The moves with at least ``min_games`` games, and their total games."""
     surviving = [e for e in a if e.games >= min_games]
     total = sum(e.games for e in surviving)

@@ -1,10 +1,11 @@
 """Comparison report: per-position rows, summaries, correlation block.
 
-The TSV rendering is the single source of truth; the Markdown table is a
-re-layout of the same formatted cells. One renderer, ``_tsv``, writes both
-TSV tables, and every value cell goes through ``_fmt``, which writes an
-undefined (None) cell as ``undefined``. Metadata lines (``# key=value``)
-carry everything needed to reproduce a run bit-exactly.
+One renderer, ``render_files``, writes all three report files. It formats
+each table's cells once, every value cell through ``_fmt``, which writes an
+undefined (None) cell as ``undefined``. A TSV file is its table between
+notes (``# `` lines); report.md lays out the same cells and notes as
+Markdown, so no file is made by reading another back. The notes carry
+everything needed to reproduce a run bit-exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from . import measures, stats
 from .book import Book, query
 from .measures import ComparisonRow, ExpectedScoreRow
 from .stats import BootstrapResult, PairedSample
-from .suite import SuiteEntry
+from .suite import SUMMARY_LABELS, SuiteEntry
 
 UNDEFINED = "undefined"
 COMPARISON_HEADER = "pos\tm_measure\tmax_m\tjsd\toverlap"
@@ -100,7 +101,7 @@ def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
         "undefined_cells": str(undefined_cells),
     }
     return ReportDocument(comparison_rows, expected_rows,
-                          stats.summarize(comparison_rows),
+                          stats.summarize(comparison_rows, ComparisonRow._fields[1:]),
                           stats.summarize(expected_rows, ("score1", "score2")),
                           correlation_full, correlation_excluded, metadata)
 
@@ -115,81 +116,80 @@ def _fmt(value: Optional[float], precision: str) -> str:
     return f"{value:.{int(precision)}f}"
 
 
-def _correlation_lines(doc: ReportDocument, precision: str) -> List[str]:
-    lines = []
+def _correlation_notes(doc: ReportDocument, precision: str) -> List[str]:
+    notes = []
     for block in (doc.correlation_full, doc.correlation_excluded):
         if block is None:
             continue
-        # an undefined pearson has no CI, so its line ends with the note
-        text = f"# pearson_{block.label}={_fmt(block.pearson, precision)} n={block.n}"
+        # an undefined pearson has no CI, so its note ends with the reason
+        text = f"pearson_{block.label}={_fmt(block.pearson, precision)} n={block.n}"
         if block.ci is not None:
             text += (f" ci95=[{_fmt(block.ci.lower, precision)},"
                      f"{_fmt(block.ci.upper, precision)}]")
         else:
             text += f" note={block.note}"
-        lines.append(text)
-    return lines
+        notes.append(text)
+    return notes
 
 
-def _tsv(doc: ReportDocument, header: str, fields: Sequence[str], lead: int,
-         rows: Sequence[tuple], summary: Dict[str, Optional[Tuple[float, float]]],
-         precision: str, trailing: Sequence[str] = ()) -> str:
-    """One report table: metadata lines, ``header``, a line per row (its first
-    ``lead`` cells as they are, the rest through ``_fmt``), Avg and Std lines
-    (``-`` under a field that ``summary`` lacks), then ``trailing``."""
-    lines = ["# openbook-report v1"]
-    lines.extend(f"# {key}={value}" for key, value in doc.metadata.items())
-    lines.append(header)
+def _cells(header: str, fields: Sequence[str], lead: int, rows: Sequence[tuple],
+           summary: Dict[str, Optional[Tuple[float, float]]], precision: str) -> list:
+    """One table's cells, a sequence per line: ``header``'s, a row's (its first
+    ``lead`` cells as they are, the rest through ``_fmt``), then Avg and Std
+    (``-`` under a field that ``summary`` lacks)."""
     # a column at a time, which costs less than a generator per row
     columns = list(zip(*rows))
     columns[lead:] = [[_fmt(value, precision) for value in column] for column in columns[lead:]]
-    lines.extend(map("\t".join, zip(*columns)))
-    for label, index in (("Avg", 0), ("Std", 1)):
+    table = [header.split("\t"), *zip(*columns)]
+    for label, index in zip(SUMMARY_LABELS, (0, 1)):
         cells = [label]
         for field in fields[1:]:
             pair = summary.get(field)
             cells.append("-" if field not in summary
                          else _fmt(pair[index] if pair else None, precision))
-        lines.append("\t".join(cells))
-    lines.extend(trailing)
+        table.append(cells)
+    return table
+
+
+def _tsv(notes: Sequence[str], table: list, trailing: Sequence[str]) -> str:
+    """A TSV file: ``notes``, the table, then ``trailing``, each note a ``# `` line."""
+    lines = [f"# {note}" for note in notes]
+    lines.extend(map("\t".join, table))
+    lines.extend(f"# {note}" for note in trailing)
     return "\n".join(lines) + "\n"
 
 
-def render_comparison_tsv(doc: ReportDocument, precision: str = "3") -> str:
-    return _tsv(doc, COMPARISON_HEADER, ComparisonRow._fields, 1,
-                doc.comparison_rows, doc.comparison_summary, precision,
-                _correlation_lines(doc, precision))
-
-
-def render_expected_tsv(doc: ReportDocument, precision: str = "3") -> str:
-    return _tsv(doc, "pos\tside\tew1\tgames1\tew2\tgames2", ExpectedScoreRow._fields, 2,
-                doc.expected_rows, doc.expected_summary, precision)
-
-
-def _tsv_to_markdown(tsv_text: str) -> List[str]:
-    """Re-layout TSV body rows as a Markdown table; comments become notes."""
-    lines = []
-    body = [line for line in tsv_text.splitlines() if not line.startswith("#")]
-    notes = [line[2:] for line in tsv_text.splitlines() if line.startswith("# ")]
-    if body:
-        header = body[0].split("\t")
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join(["---"] * len(header)) + "|")
-        # a "|" in a cell, as a position id may hold, would split it
-        for row in body[1:]:
-            lines.append("| " + " | ".join(row.replace("|", "\\|").split("\t")) + " |")
-    if notes:
-        lines.append("")
-        lines.extend(f"- {note}" for note in notes)
+def _markdown(table: list, notes: Sequence[str]) -> List[str]:
+    """The table as Markdown lines, then its notes as a list."""
+    header, *body = table
+    lines = ["| " + " | ".join(header) + " |", "|" + "|".join(["---"] * len(header)) + "|"]
+    # a "|" in a position id would split its cell
+    lines.extend("| " + " | ".join((row[0].replace("|", "\\|"), *row[1:])) + " |"
+                 for row in body)
+    lines.append("")
+    lines.extend(f"- {note}" for note in notes)
     return lines
 
 
-def render_markdown(comparison_tsv: str, expected_tsv: str) -> str:
-    """The Markdown report laid out from the two rendered TSV texts."""
-    lines = ["# Opening book comparison", "", "## Per-position measures", "",
-             *_tsv_to_markdown(comparison_tsv),
-             "", "## Expected percentage score", "", *_tsv_to_markdown(expected_tsv)]
-    return "\n".join(lines) + "\n"
+def render_files(doc: ReportDocument, precision: str = "3") -> Dict[str, str]:
+    """The report's files by name, in the order to write them: comparison.tsv,
+    expected_score.tsv and report.md.
+
+    Each table's cells are formatted once. A TSV file is its notes, as ``# ``
+    lines, around its table; report.md lays out the same cells and notes.
+    """
+    notes = ["openbook-report v1", *(f"{key}={value}" for key, value in doc.metadata.items())]
+    correlation = _correlation_notes(doc, precision)
+    comparison = _cells(COMPARISON_HEADER, ComparisonRow._fields, 1, doc.comparison_rows,
+                        doc.comparison_summary, precision)
+    expected = _cells("pos\tside\tew1\tgames1\tew2\tgames2", ExpectedScoreRow._fields, 2,
+                      doc.expected_rows, doc.expected_summary, precision)
+    markdown = ["# Opening book comparison", "", "## Per-position measures", "",
+                *_markdown(comparison, notes + correlation),
+                "", "## Expected percentage score", "", *_markdown(expected, notes)]
+    return {"comparison.tsv": _tsv(notes, comparison, correlation),
+            "expected_score.tsv": _tsv(notes, expected, ()),
+            "report.md": "\n".join(markdown) + "\n"}
 
 
 def parse_comparison_tsv(text: str):
@@ -202,6 +202,7 @@ def parse_comparison_tsv(text: str):
     metadata = {}
     rows: List[ComparisonRow] = []
     header_seen = False
+    width = COMPARISON_HEADER.count("\t") + 1
     for line in text.splitlines():
         if line.startswith("#"):
             body = line[1:].strip()
@@ -217,9 +218,9 @@ def parse_comparison_tsv(text: str):
             header_seen = True
             continue
         cells = line.split("\t")
-        if cells[0] in ("Avg", "Std"):
+        if cells[0] in SUMMARY_LABELS:
             continue
-        if len(cells) != 5:
+        if len(cells) != width:
             raise ValueError(f"bad comparison TSV row: {line!r}")
         values = [None if cell == UNDEFINED else float(cell) for cell in cells[1:]]
         for column, value in zip(ComparisonRow._fields[1:], values):

@@ -1,5 +1,7 @@
 """Cross-position statistics: Pearson correlation, its bootstrap CI, summaries.
 
+``summarize`` knows no report columns: the report names the ones it sums up.
+
 One kernel, ``_pearson_rows``, computes every correlation: ``pearson``'s on
 the one row that takes each pair once, ``bootstrap_ci``'s on resample rows.
 
@@ -148,13 +150,11 @@ def mean_std(values: Sequence[float]) -> Tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=1))
 
 
-COMPARISON_COLUMNS = ("m_measure", "max_m", "jsd", "overlap")
-
-
-def summarize(rows: Sequence[tuple], columns: Sequence[str] = COMPARISON_COLUMNS
+def summarize(rows: Sequence[tuple], columns: Sequence[str]
               ) -> Dict[str, Optional[Tuple[float, float]]]:
     """Per-column (mean, sample std) over the defined cells of ``rows``, for
-    each named column; None where fewer than 2 cells are defined."""
+    each of the ``columns`` the caller names; None where fewer than 2 cells
+    are defined."""
     out: Dict[str, Optional[Tuple[float, float]]] = {}
     for column in columns:
         values = [getattr(row, column) for row in rows

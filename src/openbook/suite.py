@@ -2,7 +2,9 @@
 
 A suite line is the first four FEN fields plus optional semicolon-
 terminated opcodes. Only the ``id`` opcode is used; everything else is
-ignored. Lines without an id get "pos<N>" in file order.
+ignored. Lines without an id get "pos<N>" in file order. An id is a row
+label in the report, so one that starts with "#" (a note there) or is one
+of ``SUMMARY_LABELS`` (its summary rows) is refused.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ import re
 from typing import Iterable, List, NamedTuple, Union
 
 from . import rules
+
+
+SUMMARY_LABELS = ("Avg", "Std")  # the report's mean and std rows
 
 
 class SuiteError(ValueError):
@@ -54,6 +59,9 @@ def parse_epd_suite(source: Union[str, Iterable[str]]) -> List[SuiteEntry]:
         match = _ID_RE.search(opcode_text + ";" if opcode_text and
                               not opcode_text.endswith(";") else opcode_text)
         position_id = (match.group(1) or match.group(2)) if match else f"pos{len(entries) + 1}"
+        if position_id.startswith("#") or position_id in SUMMARY_LABELS:
+            raise SuiteError(f"line {number}: id {position_id!r} would read as a "
+                             f"report {'note' if position_id[0] == '#' else 'summary row'}")
         if position_id in seen_ids:
             raise SuiteError(f"line {number}: duplicate id {position_id!r}")
         seen_ids.add(position_id)

@@ -4,7 +4,7 @@ import math
 import re
 from typing import List
 
-from openbook.book import RankedMove
+from openbook.book import MoveStats
 from openbook.measures import MoveDistribution
 from openbook.pgn import GameRecord, parse_pgn_stream
 from openbook.rules import (
@@ -65,16 +65,16 @@ def reference_book(games, depth: int, min_rating=None):
     return entered, counts
 
 
-def ranked_from_counts(counts) -> List[RankedMove]:
+def ranked_from_counts(counts) -> List[MoveStats]:
     """Build a ranked list straight from (san, games) pairs or a dict.
 
-    Result tallies are unknown, so score_percent is 0. Useful for feeding
-    externally collected count tables into the measures.
+    Result tallies are unknown, so every game counts as a Black win and
+    score_percent is 0. Useful for feeding externally collected count
+    tables into the measures.
     """
     items = counts.items() if hasattr(counts, "items") else counts
     ordered = sorted(items, key=lambda kv: (-kv[1], kv[0]))
-    return [RankedMove(i + 1, san, games, 0.0)
-            for i, (san, games) in enumerate(ordered)]
+    return [MoveStats(san, games, 0, 0, games) for san, games in ordered]
 
 
 def jsd_entropy_form(p: MoveDistribution, q: MoveDistribution) -> float:

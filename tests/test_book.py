@@ -14,7 +14,6 @@ from openbook.book import (
     Book,
     BookFormatError,
     MoveStats,
-    RankedMove,
     build_book,
     load_book,
     merge_books,
@@ -161,7 +160,7 @@ class TestQuery:
         games = [recorded(["e4"], "1-0")] * 3 + [recorded(["d4"], "1-0")] * 5
         ranked = query(build_book(games, max_depth=2),
                        rules.position_key(rules.initial_position()))
-        assert [(e.rank, e.san) for e in ranked] == [(1, "d4"), (2, "e4")]
+        assert [e.san for e in ranked] == ["d4", "e4"]
 
     def test_tie_breaks_lexicographically(self):
         games = [recorded(["e4"], "1-0"), recorded(["d4"], "1-0"), recorded(["c4"], "1-0")]
@@ -176,8 +175,10 @@ class TestQuery:
 
     def test_ranked_from_counts_matches_query_ordering(self):
         ranked = ranked_from_counts({"e4": 3, "d4": 5, "c4": 3})
-        assert [(e.rank, e.san, e.games) for e in ranked] == [
-            (1, "d4", 5), (2, "c4", 3), (3, "e4", 3)]
+        assert [(e.san, e.games) for e in ranked] == [("d4", 5), ("c4", 3), ("e4", 3)]
+        games = ([recorded(["e4"], "0-1")] * 3 + [recorded(["d4"], "0-1")] * 5
+                 + [recorded(["c4"], "0-1")] * 3)
+        assert query(build_book(games, max_depth=1), START_KEY) == ranked
 
 
 class TestPersistence:
@@ -444,11 +445,8 @@ def test_move_stats_score():
     assert stats.score_percent == 50.0
 
 
-def test_move_stats_and_ranked_move_are_immutable_and_hashable():
+def test_move_stats_is_immutable_and_hashable():
     stats = MoveStats("e4", 4, 1, 2, 1)
-    ranked = RankedMove(1, "e4", 4, 50.0)
-    for value, field in ((stats, "games"), (ranked, "rank")):
-        with pytest.raises(AttributeError):
-            setattr(value, field, 0)
+    with pytest.raises(AttributeError):
+        stats.games = 0
     assert len({stats, MoveStats("e4", 4, 1, 2, 1)}) == 1
-    assert len({ranked, RankedMove(1, "e4", 4, 50.0)}) == 1

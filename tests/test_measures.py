@@ -24,7 +24,7 @@ from openbook.measures import (
     normalize_counts,
     overlap,
 )
-from openbook.book import RankedMove
+from openbook.book import MoveStats
 
 HUMAN = ranked_from_counts(refdata.TOP10_HUMAN)
 ENGINE = ranked_from_counts(refdata.TOP10_ENGINE)
@@ -179,22 +179,25 @@ class TestJsd:
 
 
 class TestExpectedScore:
-    def entry(self, rank, san, games, score):
-        return RankedMove(rank, san, games, score)
+    def entry(self, san, games, score):
+        """A move of ``games`` games that scores ``score`` percent for White,
+        as wins, at most one draw, and losses."""
+        wins, draws = divmod(round(score * games / 50), 2)  # White's half points
+        return MoveStats(san, games, wins, draws, games - wins - draws)
 
     def test_all_white_wins(self):
-        score, games = expected_score([self.entry(1, "e4", 10, 100.0)], 10)
+        score, games = expected_score([self.entry("e4", 10, 100.0)], 10)
         assert (score, games) == (100.0, 10)
 
     def test_symmetric_results(self):
-        ranked = [self.entry(1, "e4", 10, 100.0), self.entry(2, "d4", 10, 0.0)]
+        ranked = [self.entry("e4", 10, 100.0), self.entry("d4", 10, 0.0)]
         score, games = expected_score(ranked, 10)
         assert (score, games) == (50.0, 20)
 
     def test_threshold_and_weighting(self):
         # (games, score%) = (20, 62.5), (15, 50.0), (9, 100.0); last filtered
-        ranked = [self.entry(1, "a", 20, 62.5), self.entry(2, "b", 15, 50.0),
-                  self.entry(3, "c", 9, 100.0)]
+        ranked = [self.entry("a", 20, 62.5), self.entry("b", 15, 50.0),
+                  self.entry("c", 9, 100.0)]
         score, games = expected_score(ranked, 10)
         assert games == 35
         assert score == pytest.approx(100 * (12.5 + 7.5) / 35, abs=1e-9)
@@ -202,7 +205,7 @@ class TestExpectedScore:
     def test_filter_monotonicity(self):
         rng = random.Random(23)
         for _ in range(200):
-            ranked = [self.entry(i + 1, f"m{i}", rng.randrange(1, 50), 50.0)
+            ranked = [self.entry(f"m{i}", rng.randrange(1, 50), 50.0)
                       for i in range(rng.randrange(1, 8))]
             previous = None
             for threshold in (1, 5, 10, 20):
@@ -291,8 +294,8 @@ class TestProperties:
 
 
 def oracle_reciprocals(a, b):
-    ranks_a = {e.san: e.rank for e in a}
-    ranks_b = {e.san: e.rank for e in b}
+    ranks_a = {e.san: rank for rank, e in enumerate(a, 1)}
+    ranks_b = {e.san: rank for rank, e in enumerate(b, 1)}
     return {san: (Fraction(1, ranks_a.get(san, len(a) + 1)),
                   Fraction(1, ranks_b.get(san, len(b) + 1)))
             for san in ranks_a.keys() | ranks_b.keys()}
@@ -315,11 +318,10 @@ def oracle_m_and_max(a, b):
     return float(1 - footrule / bound), float(bound)
 
 
-# hand-built lists: any ranks, consecutive or not, one entry per move
-hand_built = st.lists(st.tuples(st.sampled_from("abcdefghij"), st.integers(1, 40)),
-                      max_size=8, unique_by=lambda t: t[0]).map(
-    lambda pairs: [RankedMove(rank, san, 1, 50.0) for san, rank in pairs])
-single = [RankedMove(1, "e4", 5, 50.0)]
+# hand-built lists: distinct moves in any order, each ranked by its place
+hand_built = st.lists(st.sampled_from("abcdefghij"), max_size=10, unique=True).map(
+    lambda sans: [MoveStats(san, 2, 1, 0, 1) for san in sans])
+single = [MoveStats("e4", 5, 2, 1, 2)]
 
 
 class TestExactM:
@@ -328,7 +330,6 @@ class TestExactM:
     @example(single, [])
     @example([], single)
     @example(single, single)
-    @example(single, [RankedMove(3, "d4", 5, 50.0)])
     @settings(max_examples=400)
     def test_m_and_max_match_fraction_oracle(self, a, b):
         assert exact_reciprocals(a, b) == oracle_reciprocals(a, b)

@@ -107,7 +107,7 @@ class TestSummaries:
         rows = [ComparisonRow(pid, m, mm, j, o) for pid, m, mm, j, o in zip(
             refdata.SUMMARY_POSITIONS, refdata.SUMMARY_M, refdata.SUMMARY_MAXM,
             refdata.SUMMARY_JSD, refdata.SUMMARY_OVERLAP)]
-        summary = summarize(rows)
+        summary = summarize(rows, ComparisonRow._fields[1:])
         for column, (mean, std) in refdata.GOLDEN_SUMMARY_MEAN_STD.items():
             got_mean, got_std = summary[column]
             assert got_mean == pytest.approx(mean, abs=0.001)
@@ -136,7 +136,7 @@ class TestSummaries:
         rows = [ComparisonRow("a", 0.5, 2.0, None, 0.5),
                 ComparisonRow("b", 0.7, 2.0, None, 0.7),
                 ComparisonRow("c", None, 2.0, None, 0.9)]
-        summary = summarize(rows)
+        summary = summarize(rows, ComparisonRow._fields[1:])
         assert summary["m_measure"] == pytest.approx((0.6, 0.1414), abs=1e-3)
         assert summary["jsd"] is None
 

@@ -15,6 +15,7 @@ import pytest
 from openbook import book as book_mod
 from openbook import rules
 from openbook.cli import main
+from openbook.measures import ComparisonRow
 from openbook.pgn import GameRecord, MalformedGame, parse_pgn_stream
 from openbook.report import parse_comparison_tsv
 from openbook.suite import SuiteError, parse_epd_suite
@@ -396,6 +397,18 @@ class TestCliQuery:
         assert [run(*case) for case in cases] == viewed
         assert viewed[cases.index((rules.START_FEN, "0"))].count("\n") == 11
 
+    def test_min_games_keeps_the_top_ranks(self, tmp_path, pb_mini_path, capsys):
+        book = str(tmp_path / "pb40.book")
+        assert main(["build", "--pgn", pb_mini_path, "--depth", "40", "--out", book]) == 0
+        capsys.readouterr()
+        assert main(["query", "--book", book, "--fen", rules.START_FEN,
+                     "--min-games", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "rank\tsan\tgames\tscore%"
+        assert [line.split("\t")[:3] for line in lines[1:]] == [
+            ["1", "e4", "9"], ["2", "d4", "8"], ["3", "Nf3", "5"], ["4", "c4", "5"],
+            ["5", "g3", "5"]]
+
     def test_bad_count_outside_the_queried_position_is_data_error(self, built_books, capsys):
         start_key = rules.position_key(rules.initial_position())
         break_counts_outside(built_books[0], {start_key})
@@ -537,7 +550,9 @@ class TestCliCompare:
         assert unbooked.m_measure is None and unbooked.jsd is None
         assert metadata["undefined_cells"] != "0"
 
-    @pytest.mark.parametrize("precision", ["abc", "-1", "2.5", "+3", "\u0663"])
+    # past 17 places a double prints only noise; a huge value broke the formatter
+    @pytest.mark.parametrize("precision", ["abc", "-1", "2.5", "+3", "\u0663", "18",
+                                           "99999999999"])
     def test_bad_precision_is_usage_error(self, precision, built_books, suite3_path,
                                           tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -546,6 +561,32 @@ class TestCliCompare:
                              extra=("--precision", precision))
         assert err.value.code == 1
         assert "--precision" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("precision", ["0", "17"])
+    def test_precision_bounds_are_accepted(self, precision, built_books, suite3_path,
+                                           tmp_path):
+        out_dir = self.run_compare(built_books, suite3_path, tmp_path,
+                                   extra=("--precision", precision))
+        with open(os.path.join(out_dir, "comparison.tsv")) as handle:
+            avg = [line for line in handle if line.startswith("Avg\t")][0]
+        assert len(avg.split("\t")[1].strip().partition(".")[2]) == int(precision)
+
+    # plot and report.md would lose a row with such an id: a "#" line is a
+    # note, and Avg and Std are the summary rows
+    @pytest.mark.parametrize("position_id, reads_as", [("#1", "note"), ("Avg", "summary row"),
+                                                        ("Std", "summary row")])
+    def test_id_the_report_cannot_hold_is_data_error(self, position_id, reads_as, built_books,
+                                                     tmp_path, capsys):
+        suite = tmp_path / "suite.epd"
+        suite.write_text(f'{rules.START_FEN[:-4]} id "plain";\n'
+                         f'{rules.START_FEN[:-4]} id "{position_id}";\n')
+        out_dir = tmp_path / "report"
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", str(suite), "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == (f"openbook: bad suite file {suite}: line 2: id "
+                                           f"{position_id!r} would read as a report "
+                                           f"{reads_as}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("flag, value", [("--min-games", "-5"), ("--bootstrap", "0"),
@@ -659,7 +700,7 @@ class TestCliCompare:
             text = handle.read()
         rows, metadata = parse_comparison_tsv(text)
         from openbook.stats import summarize
-        summary = summarize(rows)
+        summary = summarize(rows, ComparisonRow._fields[1:])
         avg_line = [l for l in text.splitlines() if l.startswith("Avg")][0]
         cells = avg_line.split("\t")[1:]
         for cell, column in zip(cells, ("m_measure", "max_m", "jsd", "overlap")):
