@@ -125,9 +125,15 @@ def merge_books(a: Book, b: Book) -> Book:
                 positions=positions)
 
 
+def _one_line(text: str) -> bool:
+    """Whether ``text`` holds no character that ``str.splitlines`` breaks on, so
+    that no reader of a file that quotes it sees two lines."""
+    return text.splitlines() == ([text] if text else [])
+
+
 def _serialize(book: Book) -> str:
     """The book file text; BookFormatError if load_book could not read it back."""
-    if "\n" in book.source:
+    if not _one_line(book.source):
         raise BookFormatError(f"source {book.source!r} contains a line break")
     try:
         book.source.encode("utf-8")
@@ -207,7 +213,8 @@ def load_book(source, keys=None) -> Book:
     """Read and verify a book file written by save_book.
 
     Every check runs over the whole file, whatever ``keys`` is: the
-    checksum, the header and meta lines, that every later line has the
+    checksum, the header and meta lines (with a source that save_book
+    would write: one holding no line break), that every later line has the
     exact form save_book writes (canonical integers, single spaces, games
     >= 1, positions and moves in save_book's order, each once), that each
     move's results add up to its games, and the meta position count. One
@@ -257,6 +264,8 @@ def load_book(source, keys=None) -> Book:
     if not text[start:].isascii():
         raise BookFormatError("non-ASCII text after line 2")
     source_text, games, position_count, depth = meta.groups()
+    if not _one_line(source_text):
+        raise BookFormatError(f"line 2: source {source_text!r} contains a line break")
     book = Book(depth=int(depth), source=source_text, games=int(games), positions={})
     positions = book.positions
     valid_counts: dict = {}  # counts text -> its counts, for texts that passed

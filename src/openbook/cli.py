@@ -15,7 +15,7 @@ from typing import List, Optional
 from . import book as book_mod
 from . import plot, report, rules
 from .pgn import MalformedGame, filter_games, parse_pgn_stream
-from .suite import SuiteError, parse_epd_suite
+from .suite import parse_epd_suite
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -74,12 +74,11 @@ def _write(write, *args, **kwargs) -> None:
 
 
 def _parse_position(args) -> rules.Position:
+    # an EPD is a FEN's first four fields; query reads no opcode
+    text = args.fen if args.fen is not None else " ".join(args.epd.split()[:4])
     try:
-        if args.fen is not None:
-            return rules.parse_fen(args.fen)
-        entries = parse_epd_suite([args.epd])
-        return entries[0].position
-    except (rules.FenError, SuiteError) as exc:
+        return rules.parse_fen(text)
+    except rules.FenError as exc:
         raise DataError(str(exc))
 
 

@@ -1,5 +1,9 @@
 """Comparison report: per-position rows, summaries, correlation block.
 
+``build_report`` picks the rows that feed the correlation: those with both
+M and JSD defined, and for the second pass those of them whose id is not
+excluded. ``stats`` sees only their two columns.
+
 One renderer, ``render_files``, writes all three report files. It formats
 each table's cells once, every value cell through ``_fmt``, which writes an
 undefined (None) cell as ``undefined``. A TSV file is its table between
@@ -16,7 +20,6 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import measures, stats
 from .book import Book, query
 from .measures import ComparisonRow, ExpectedScoreRow
-from .stats import BootstrapResult, PairedSample
 from .suite import SUMMARY_LABELS, SuiteEntry
 
 UNDEFINED = "undefined"
@@ -29,7 +32,7 @@ class CorrelationBlock(NamedTuple):
     label: str
     n: int
     pearson: Optional[float]
-    ci: Optional[BootstrapResult]
+    ci: Optional[Tuple[float, float]]  # (lower, upper)
     note: str = ""
 
 
@@ -43,22 +46,18 @@ class ReportDocument(NamedTuple):
     metadata: Dict[str, str]
 
 
-def _paired_sample(rows: Sequence[ComparisonRow]) -> PairedSample:
-    defined = [r for r in rows if r.m_measure is not None and r.jsd is not None]
-    return PairedSample(tuple(r.position_id for r in defined),
-                        tuple(r.m_measure for r in defined),
-                        tuple(r.jsd for r in defined))
-
-
-def _correlate(label: str, sample: PairedSample, resamples: int,
+def _correlate(label: str, rows: Sequence[ComparisonRow], resamples: int,
                seed: int) -> CorrelationBlock:
+    x = [row.m_measure for row in rows]
+    y = [row.jsd for row in rows]
     r, ci, note = None, None, ""
     try:
-        r = stats.pearson(sample)
-        ci = stats.bootstrap_ci(sample, resamples=resamples, seed=seed)
+        r = stats.pearson(x, y)
+        # x goes positionally: perfbench/tracer.py reads len(args[0]) as the pair count
+        ci = stats.bootstrap_ci(x, y, resamples=resamples, seed=seed)
     except stats.StatsError as exc:
         note = str(exc)
-    return CorrelationBlock(label, len(sample), r, ci, note)
+    return CorrelationBlock(label, len(rows), r, ci, note)
 
 
 def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
@@ -79,12 +78,15 @@ def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
         expected_rows.append(measures.expected_score_row(
             entry.position_id, entry.side_to_move, ranked1, ranked2, min_games))
 
-    sample = _paired_sample(comparison_rows)
-    correlation_full = _correlate("full", sample, resamples, seed)
+    defined = [row for row in comparison_rows
+               if row.m_measure is not None and row.jsd is not None]
+    correlation_full = _correlate("full", defined, resamples, seed)
     correlation_excluded = None
     if exclude:
+        excluded = set(exclude)
         correlation_excluded = _correlate(
-            "excluded", sample.without(exclude), resamples, seed)
+            "excluded", [row for row in defined if row.position_id not in excluded],
+            resamples, seed)
 
     undefined_cells = sum(value is None for row in comparison_rows for value in row[1:])
     metadata = {
@@ -124,8 +126,8 @@ def _correlation_notes(doc: ReportDocument, precision: str) -> List[str]:
         # an undefined pearson has no CI, so its note ends with the reason
         text = f"pearson_{block.label}={_fmt(block.pearson, precision)} n={block.n}"
         if block.ci is not None:
-            text += (f" ci95=[{_fmt(block.ci.lower, precision)},"
-                     f"{_fmt(block.ci.upper, precision)}]")
+            lower, upper = block.ci
+            text += f" ci95=[{_fmt(lower, precision)},{_fmt(upper, precision)}]"
         else:
             text += f" note={block.note}"
         notes.append(text)

@@ -1,6 +1,8 @@
 """Cross-position statistics: Pearson correlation, its bootstrap CI, summaries.
 
-``summarize`` knows no report columns: the report names the ones it sums up.
+``pearson`` and ``bootstrap_ci`` take two plain columns, ``x`` and ``y``,
+paired by place; the caller chooses which pairs enter them. ``summarize``
+knows no report columns either: the report names the ones it sums up.
 
 One kernel, ``_pearson_rows``, computes every correlation: ``pearson``'s on
 the one row that takes each pair once, ``bootstrap_ci``'s on resample rows.
@@ -15,7 +17,7 @@ it, so importing this module (and the CLI, for ``build``) does not load it.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
 
 RNG_ALGORITHM = "numpy-PCG64"
 STD_CONVENTION = "sample(n-1)"
@@ -29,47 +31,15 @@ class StatsError(ValueError):
     """Raised when a correlation or summary is undefined for the given sample."""
 
 
-class PairedSample:
-    """Paired observations (x_i, y_i) tagged with position ids."""
-
-    __slots__ = ("ids", "x", "y")
-
-    def __init__(self, ids: Tuple[str, ...], x: Tuple[float, ...], y: Tuple[float, ...]):
-        if not (len(ids) == len(x) == len(y)):
-            raise ValueError("ids, x, y must have equal lengths")
-        self.ids, self.x, self.y = ids, x, y
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def without(self, excluded_ids) -> "PairedSample":
-        """Copy with the listed position ids removed."""
-        excluded = set(excluded_ids)
-        kept = [i for i, pid in enumerate(self.ids) if pid not in excluded]
-        return PairedSample(tuple(self.ids[i] for i in kept),
-                            tuple(self.x[i] for i in kept),
-                            tuple(self.y[i] for i in kept))
-
-
-class BootstrapResult(NamedTuple):
-    """Point estimate with a percentile 95% confidence interval."""
-
-    estimate: float
-    lower: float
-    upper: float
-    resamples: int
-    seed: int
-
-
-def pearson(sample: PairedSample) -> float:
-    """Pearson correlation of a paired sample (n >= 2, non-constant)."""
+def pearson(x: Sequence[float], y: Sequence[float]) -> float:
+    """Pearson correlation of the pairs (x[i], y[i]) (n >= 2, neither column constant)."""
     import numpy as np
 
-    n = len(sample)
+    n = len(x)
     if n < 2:
         raise StatsError(f"need at least 2 pairs, got {n}")
     # the one resample that takes every pair once, in order
-    values = _pearson_rows(np.array(sample.x, dtype=float), np.array(sample.y, dtype=float),
+    values = _pearson_rows(np.array(x, dtype=float), np.array(y, dtype=float),
                            np.arange(n)[None, :])
     if not len(values):
         raise StatsError("correlation undefined: constant column")
@@ -89,9 +59,9 @@ def _pearson_rows(x: np.ndarray, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (xm * ym).sum(axis=1)[valid] / denominator[valid]
 
 
-def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
-                 seed: int = 0) -> BootstrapResult:
-    """Percentile bootstrap of the Pearson correlation.
+def bootstrap_ci(x: Sequence[float], y: Sequence[float], resamples: int = 10000,
+                 seed: int = 0) -> Tuple[float, float]:
+    """Percentile 95% bootstrap interval (lower, upper) of ``pearson(x, y)``.
 
     Resamples pairs with replacement; resamples where either column is
     constant are skipped. More than 50% degenerate resamples is an error.
@@ -99,14 +69,14 @@ def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
     """
     import numpy as np
 
-    n = len(sample)
+    n = len(x)
     if n < 3:
         raise StatsError(f"need at least 3 pairs to bootstrap, got {n}")
     if resamples < 1000:
         raise StatsError(f"need at least 1000 resamples, got {resamples}")
-    estimate = pearson(sample)
-    x = np.array(sample.x, dtype=float)
-    y = np.array(sample.y, dtype=float)
+    pearson(x, y)  # a constant column is an error before the draw
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
     rng = np.random.Generator(np.random.PCG64(seed))
     # one block of resamples at a time bounds the working memory. Drawing
     # each block's indices in turn gives the same values, row for row, as
@@ -122,8 +92,7 @@ def bootstrap_ci(sample: PairedSample, resamples: int = 10000,
         raise StatsError(
             f"{resamples - len(values)} of {resamples} resamples were degenerate")
     values.sort()
-    return BootstrapResult(estimate, _quantile(values, 0.025), _quantile(values, 0.975),
-                           resamples, seed)
+    return _quantile(values, 0.025), _quantile(values, 0.975)
 
 
 def _quantile(ordered, q: float) -> float:

@@ -24,7 +24,6 @@ class SuiteError(ValueError):
 
 class SuiteEntry(NamedTuple):
     position_id: str
-    position: rules.Position
     side_to_move: str  # "w" or "b"
     key: str  # rules.position_key(position), the book key it is looked up by
 
@@ -65,7 +64,7 @@ def parse_epd_suite(source: Union[str, Iterable[str]]) -> List[SuiteEntry]:
         if position_id in seen_ids:
             raise SuiteError(f"line {number}: duplicate id {position_id!r}")
         seen_ids.add(position_id)
-        entries.append(SuiteEntry(position_id, position, position.turn,
+        entries.append(SuiteEntry(position_id, position.turn,
                                   rules.position_key(position)))
     if not entries:
         raise SuiteError("empty suite")

@@ -14,7 +14,7 @@ import pytest
 import refdata
 from oracles import jsd_entropy_form, normalize, ranked_from_counts, recorded
 from openbook import rules
-from openbook.book import build_book, load_book, merge_books, save_book
+from openbook.book import Book, MoveStats, build_book, load_book, merge_books, save_book
 from openbook.cli import main
 from openbook.measures import (
     _exact,
@@ -26,7 +26,7 @@ from openbook.measures import (
 )
 from openbook.pgn import parse_pgn_stream
 from openbook.report import parse_comparison_tsv
-from openbook.stats import PairedSample, bootstrap_ci, mean_std, pearson
+from openbook.stats import bootstrap_ci, mean_std, pearson
 
 HUMAN = ranked_from_counts(refdata.TOP10_HUMAN)
 ENGINE = ranked_from_counts(refdata.TOP10_ENGINE)
@@ -56,21 +56,55 @@ def test_criterion_1_worked_example_golden_values():
     print(f"PASS  {label}")
 
 
+def test_criterion_1_worked_example_through_compare(tmp_path):
+    """The worked example's initial-position books, at the published counts,
+    give the published overlap, M, maxM and JSD through ``compare``."""
+    label = "criterion 1: worked example through compare"
+    key = rules.position_key(rules.initial_position())
+    books = []
+    for name, counts in (("human", refdata.TOP10_HUMAN), ("engine", refdata.TOP10_ENGINE)):
+        # results enter none of the four measures, so every game is a draw
+        moves = {san: MoveStats(san, games, 0, games, 0) for san, games in counts.items()}
+        path = str(tmp_path / f"{name}.book")
+        save_book(Book(depth=1, source=name, games=sum(counts.values()),
+                       positions={key: moves}), path)
+        books.append(path)
+    suite = tmp_path / "start.epd"
+    suite.write_text(f'{rules.START_FEN.rsplit(" ", 2)[0]} id "start";\n')
+    out_dir = str(tmp_path / "report")
+    try:
+        assert main(["compare", "--book1", books[0], "--book2", books[1],
+                     "--suite", str(suite), "--precision", "full", "--out", out_dir]) == 0
+        with open(os.path.join(out_dir, "comparison.tsv"), encoding="utf-8") as handle:
+            rows, metadata = parse_comparison_tsv(handle.read())
+        assert (metadata["book1_games"], metadata["book2_games"]) == ("1010757", "276540")
+        [row] = rows
+        assert row.overlap == 9 / 11
+        assert round(row.m_measure, 4) == 0.9694
+        assert round(row.max_m, 4) == 4.0398
+        assert round(row.jsd, 3) == 0.935
+    except AssertionError:
+        print(f"FAIL  {label}")
+        raise
+    print(f"PASS  {label}")
+
+
 def test_criterion_2_summary_statistics_reproduction():
     """Correlation and bootstrap CIs from the 26-row summary columns."""
     label = "criterion 2: summary-table statistics"
-    sample = PairedSample(tuple(refdata.SUMMARY_POSITIONS),
-                          tuple(refdata.SUMMARY_M), tuple(refdata.SUMMARY_JSD))
-    reduced = sample.without(refdata.OUTLIER_IDS)
+    full = refdata.SUMMARY_M, refdata.SUMMARY_JSD
+    kept = [i for i, pid in enumerate(refdata.SUMMARY_POSITIONS)
+            if pid not in refdata.OUTLIER_IDS]
+    reduced = [refdata.SUMMARY_M[i] for i in kept], [refdata.SUMMARY_JSD[i] for i in kept]
     try:
-        assert pearson(sample) == pytest.approx(0.5397, abs=0.01)
-        assert pearson(reduced) == pytest.approx(0.6549, abs=0.01)
-        ci = bootstrap_ci(sample, resamples=10000, seed=0)
-        assert ci.lower == pytest.approx(0.2625, abs=0.05)
-        assert ci.upper == pytest.approx(0.7644, abs=0.05)
-        ci = bootstrap_ci(reduced, resamples=10000, seed=0)
-        assert ci.lower == pytest.approx(0.3655, abs=0.05)
-        assert ci.upper == pytest.approx(0.8228, abs=0.05)
+        assert pearson(*full) == pytest.approx(0.5397, abs=0.01)
+        assert pearson(*reduced) == pytest.approx(0.6549, abs=0.01)
+        lower, upper = bootstrap_ci(*full, resamples=10000, seed=0)
+        assert lower == pytest.approx(0.2625, abs=0.05)
+        assert upper == pytest.approx(0.7644, abs=0.05)
+        lower, upper = bootstrap_ci(*reduced, resamples=10000, seed=0)
+        assert lower == pytest.approx(0.3655, abs=0.05)
+        assert upper == pytest.approx(0.8228, abs=0.05)
         for column, golden in (
                 (refdata.SUMMARY_M, (0.768, 0.175)),
                 (refdata.SUMMARY_JSD, (0.702, 0.144)),

@@ -7,7 +7,6 @@ import oracles
 import refdata
 from openbook.measures import ComparisonRow, ExpectedScoreRow
 from openbook.stats import (
-    PairedSample,
     StatsError,
     _quantile,
     bootstrap_ci,
@@ -17,89 +16,84 @@ from openbook.stats import (
 )
 
 
-def summary_sample(exclude=()):
-    sample = PairedSample(tuple(refdata.SUMMARY_POSITIONS),
-                          tuple(refdata.SUMMARY_M), tuple(refdata.SUMMARY_JSD))
-    return sample.without(exclude) if exclude else sample
+def summary_columns(exclude=()):
+    """The summary table's M and JSD columns, without the ``exclude`` rows."""
+    kept = [i for i, pid in enumerate(refdata.SUMMARY_POSITIONS) if pid not in exclude]
+    return ([refdata.SUMMARY_M[i] for i in kept],
+            [refdata.SUMMARY_JSD[i] for i in kept])
 
 
 class TestPearson:
     def test_reference_columns(self):
-        assert pearson(summary_sample()) == pytest.approx(
+        assert pearson(*summary_columns()) == pytest.approx(
             refdata.GOLDEN_PEARSON_FULL, abs=0.01)
 
     def test_reference_columns_without_outliers(self):
-        assert pearson(summary_sample(refdata.OUTLIER_IDS)) == pytest.approx(
+        assert pearson(*summary_columns(refdata.OUTLIER_IDS)) == pytest.approx(
             refdata.GOLDEN_PEARSON_EXCLUDED, abs=0.01)
 
     def test_perfect_linearity(self):
         x = (1.0, 2.0, 3.0, 4.0)
-        sample = PairedSample(("a", "b", "c", "d"), x, tuple(2 * v + 3 for v in x))
-        assert pearson(sample) == pytest.approx(1.0, abs=1e-12)
+        assert pearson(x, [2 * v + 3 for v in x]) == pytest.approx(1.0, abs=1e-12)
 
     def test_symmetry_and_affine_invariance(self):
-        sample = summary_sample()
-        flipped = PairedSample(sample.ids, sample.y, sample.x)
-        assert pearson(sample) == pytest.approx(pearson(flipped), abs=1e-12)
-        scaled = PairedSample(sample.ids,
-                              tuple(5 * v - 2 for v in sample.x), sample.y)
-        assert pearson(scaled) == pytest.approx(pearson(sample), abs=1e-12)
+        x, y = summary_columns()
+        assert pearson(x, y) == pytest.approx(pearson(y, x), abs=1e-12)
+        assert pearson([5 * v - 2 for v in x], y) == pytest.approx(pearson(x, y), abs=1e-12)
 
     def test_constant_column_rejected(self):
-        sample = PairedSample(("a", "b", "c"), (1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
         with pytest.raises(StatsError):
-            pearson(sample)
+            pearson((1.0, 1.0, 1.0), (1.0, 2.0, 3.0))
 
     def test_too_small_sample_rejected(self):
         with pytest.raises(StatsError):
-            pearson(PairedSample(("a",), (1.0,), (2.0,)))
+            pearson((1.0,), (2.0,))
 
 
 class TestBootstrap:
     def test_reference_interval(self):
-        result = bootstrap_ci(summary_sample(), resamples=10000, seed=0)
-        assert result.lower == pytest.approx(refdata.GOLDEN_CI_FULL[0], abs=0.05)
-        assert result.upper == pytest.approx(refdata.GOLDEN_CI_FULL[1], abs=0.05)
+        lower, upper = bootstrap_ci(*summary_columns(), resamples=10000, seed=0)
+        assert lower == pytest.approx(refdata.GOLDEN_CI_FULL[0], abs=0.05)
+        assert upper == pytest.approx(refdata.GOLDEN_CI_FULL[1], abs=0.05)
 
     def test_reference_interval_without_outliers(self):
-        result = bootstrap_ci(summary_sample(refdata.OUTLIER_IDS),
-                              resamples=10000, seed=0)
-        assert result.lower == pytest.approx(refdata.GOLDEN_CI_EXCLUDED[0], abs=0.05)
-        assert result.upper == pytest.approx(refdata.GOLDEN_CI_EXCLUDED[1], abs=0.05)
+        lower, upper = bootstrap_ci(*summary_columns(refdata.OUTLIER_IDS),
+                                    resamples=10000, seed=0)
+        assert lower == pytest.approx(refdata.GOLDEN_CI_EXCLUDED[0], abs=0.05)
+        assert upper == pytest.approx(refdata.GOLDEN_CI_EXCLUDED[1], abs=0.05)
 
     def test_deterministic_for_seed(self):
-        a = bootstrap_ci(summary_sample(), resamples=2000, seed=42)
-        b = bootstrap_ci(summary_sample(), resamples=2000, seed=42)
+        a = bootstrap_ci(*summary_columns(), resamples=2000, seed=42)
+        b = bootstrap_ci(*summary_columns(), resamples=2000, seed=42)
         assert a == b
-        c = bootstrap_ci(summary_sample(), resamples=2000, seed=43)
-        assert (a.lower, a.upper) != (c.lower, c.upper)
+        c = bootstrap_ci(*summary_columns(), resamples=2000, seed=43)
+        assert a != c
 
     def test_resample_count_stability(self):
-        small = bootstrap_ci(summary_sample(), resamples=10**4, seed=0)
-        large = bootstrap_ci(summary_sample(), resamples=10**5, seed=0)
-        assert abs(small.lower - large.lower) < 0.01
-        assert abs(small.upper - large.upper) < 0.01
+        small = bootstrap_ci(*summary_columns(), resamples=10**4, seed=0)
+        large = bootstrap_ci(*summary_columns(), resamples=10**5, seed=0)
+        assert abs(small[0] - large[0]) < 0.01
+        assert abs(small[1] - large[1]) < 0.01
 
     def test_too_few_resamples_rejected(self):
         with pytest.raises(StatsError):
-            bootstrap_ci(summary_sample(), resamples=100, seed=0)
+            bootstrap_ci(*summary_columns(), resamples=100, seed=0)
 
     def test_constant_column_rejected_before_the_draw(self):
         # every resample of a constant column is degenerate, so a draw would
         # give another message; the size checks come first
-        sample = PairedSample(("a", "b", "c"), (1.0, 2.0, 3.0), (0.5, 0.5, 0.5))
+        x, y = (1.0, 2.0, 3.0), (0.5, 0.5, 0.5)
         with pytest.raises(StatsError, match="^correlation undefined: constant column$"):
-            bootstrap_ci(sample, resamples=1000, seed=0)
+            bootstrap_ci(x, y, resamples=1000, seed=0)
         with pytest.raises(StatsError, match="^need at least 1000 resamples, got 999$"):
-            bootstrap_ci(sample, resamples=999, seed=0)
+            bootstrap_ci(x, y, resamples=999, seed=0)
         with pytest.raises(StatsError, match="^need at least 3 pairs to bootstrap, got 2$"):
-            bootstrap_ci(sample.without(["c"]), resamples=999, seed=0)
+            bootstrap_ci(x[:2], y[:2], resamples=999, seed=0)
 
     def test_mostly_degenerate_resamples_rejected(self):
         # 15 of the 27 index triples leave x or y constant
-        sample = PairedSample(("a", "b", "c"), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
         with pytest.raises(StatsError, match="degenerate"):
-            bootstrap_ci(sample, resamples=1000, seed=0)
+            bootstrap_ci((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), resamples=1000, seed=0)
 
 
 class TestSummaries:
@@ -141,12 +135,12 @@ class TestSummaries:
         assert summary["jsd"] is None
 
 
-def whole_matrix_pearson_bootstrap(sample, resamples, seed):
+def whole_matrix_pearson_bootstrap(x, y, resamples, seed):
     """Reference: every resample's Pearson value from one full-matrix pass."""
-    x = np.array(sample.x, dtype=float)
-    y = np.array(sample.y, dtype=float)
+    x = np.array(x, dtype=float)
+    y = np.array(y, dtype=float)
     indices = np.random.Generator(np.random.PCG64(seed)).integers(
-        0, len(sample), size=(resamples, len(sample)))
+        0, len(x), size=(resamples, len(x)))
     xs = x[indices]
     ys = y[indices]
     xm = xs - xs.mean(axis=1, keepdims=True)
@@ -158,11 +152,11 @@ def whole_matrix_pearson_bootstrap(sample, resamples, seed):
     return float(lower), float(upper)
 
 
-def correlated_sample(n):
+def correlated_columns(n):
     rng = np.random.Generator(np.random.PCG64(1000 + n))
     x = rng.random(n)
     y = 0.6 * x + 0.4 * rng.random(n)
-    return PairedSample(tuple(str(i) for i in range(n)), tuple(x), tuple(y))
+    return tuple(x), tuple(y)
 
 
 class TestBootstrapBits:
@@ -172,18 +166,16 @@ class TestBootstrapBits:
     @pytest.mark.parametrize("n", [3, 127, 128, 129, 400])
     @pytest.mark.parametrize("resamples", [1000, 1001, 10000])
     def test_interval_bit_identical(self, seed, n, resamples):
-        sample = correlated_sample(n)
-        result = bootstrap_ci(sample, resamples=resamples, seed=seed)
-        assert (result.lower, result.upper) == whole_matrix_pearson_bootstrap(
-            sample, resamples, seed)
+        x, y = correlated_columns(n)
+        assert bootstrap_ci(x, y, resamples=resamples, seed=seed) == \
+            whole_matrix_pearson_bootstrap(x, y, resamples, seed)
 
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_many_degenerate_resamples_bit_identical(self, seed):
         # a constant x or y column in about 40% of the resamples
-        sample = PairedSample(("a", "b", "c"), (1.0, 1.0, 2.0), (1.0, 2.0, 3.0))
-        result = bootstrap_ci(sample, resamples=10000, seed=seed)
-        assert (result.lower, result.upper) == whole_matrix_pearson_bootstrap(
-            sample, 10000, seed)
+        x, y = (1.0, 1.0, 2.0), (1.0, 2.0, 3.0)
+        assert bootstrap_ci(x, y, resamples=10000, seed=seed) == \
+            whole_matrix_pearson_bootstrap(x, y, 10000, seed)
 
 
 @given(st.integers(1, 3000), st.integers(0, 2**32 - 1), st.integers(0, 17),
@@ -219,5 +211,4 @@ _PEARSON_VALUES = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([0.0, 0.1, 1.0
 @settings(max_examples=400, deadline=None)
 def test_pearson_matches_the_one_vector_formula(pairs):
     x, y = zip(*pairs)
-    sample = PairedSample(tuple(str(i) for i in range(len(pairs))), x, y)
-    assert _outcome(pearson, sample) == _outcome(oracles.pearson_xy, x, y)
+    assert _outcome(pearson, x, y) == _outcome(oracles.pearson_xy, x, y)

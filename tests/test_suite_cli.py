@@ -8,10 +8,14 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 import xml.dom.minidom
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import openbook
 from openbook import book as book_mod
 from openbook import rules
 from openbook.cli import main
@@ -31,7 +35,7 @@ class TestEpdSuite:
             ['rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";'])
         assert len(entries) == 1
         assert entries[0].position_id == "26"
-        assert entries[0].position == rules.initial_position()
+        assert entries[0].key == rules.position_key(rules.initial_position())
         assert entries[0].side_to_move == "w"
 
     def test_missing_id_auto_assigned(self):
@@ -269,12 +273,13 @@ class TestCliBuild:
                                                 comp_mini_path):
         repeated, listed = str(tmp_path / "repeated.book"), str(tmp_path / "listed.book")
         assert main(["build", "--pgn", pb_mini_path, "--pgn", comp_mini_path,
-                     "--out", repeated, "--source", "both"]) == 0
-        assert main(["build", "--pgn", pb_mini_path, comp_mini_path,
-                     "--out", listed, "--source", "both"]) == 0
+                     "--out", repeated]) == 0
+        assert main(["build", "--pgn", pb_mini_path, comp_mini_path, "--out", listed]) == 0
         with open(repeated, "rb") as fa, open(listed, "rb") as fb:
             assert fa.read() == fb.read()
         from openbook.book import load_book
+        # the source names every file read, in order
+        assert load_book(repeated).source == "pb_mini.pgn+comp_mini.pgn"
         parts = [str(tmp_path / "pb.book"), str(tmp_path / "comp.book")]
         for path, out in zip((pb_mini_path, comp_mini_path), parts):
             assert main(["build", "--pgn", path, "--out", out]) == 0
@@ -331,10 +336,61 @@ class TestCliBuild:
 
     def test_line_break_in_source_refused(self, tmp_path, pb_mini_path, capsys):
         out = tmp_path / "o.book"
-        assert main(["build", "--pgn", pb_mini_path, "--out", str(out),
-                     "--source", "a\nb"]) == 2
-        assert "line break" in capsys.readouterr().err
-        assert not out.exists()
+        # every character that str.splitlines breaks on, which a reader of the
+        # report would take for the end of its line
+        for source in ["a\nb", "a\rb", "a\r\nb", "a\vb", "a\fb", "a\x1cb", "a\x1db",
+                       "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b", "a\n"]:
+            assert main(["build", "--pgn", pb_mini_path, "--out", str(out),
+                         "--source", source]) == 2
+            assert capsys.readouterr() == (
+                "", f"openbook: cannot write book {out}: source {source!r} contains a line "
+                    "break\n")
+            assert os.listdir(tmp_path) == []
+
+    def test_book_with_line_break_in_source_is_data_error(self, tmp_path, pb_mini_path,
+                                                          capsys):
+        good = str(tmp_path / "good.book")
+        assert main(["build", "--pgn", pb_mini_path, "--out", good, "--source", "ab"]) == 0
+        with open(good, encoding="utf-8", newline="") as handle:
+            body = handle.read().rsplit("sha256 ", 1)[0].replace("source=ab ", "source=a\rb ")
+        bad = tmp_path / "bad.book"
+        bad.write_bytes(f"{body}sha256 {hashlib.sha256(body.encode()).hexdigest()}\n".encode())
+        capsys.readouterr()
+        assert main(["query", "--book", str(bad), "--fen", rules.START_FEN]) == 2
+        assert capsys.readouterr().err == (
+            f"openbook: bad book file {bad}: line 2: source 'a\\rb' contains a line break\n")
+
+
+# each character that str.splitlines breaks on, and text around it that a
+# report or a book meta line must keep: tab, "=", space and non-ASCII
+SOURCE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                 "\u2028", "\u2029", "\t", "=", " ", "a", "\u00e9", "\u4e2d"]
+
+
+@given(st.lists(st.sampled_from(SOURCE_PIECES), min_size=1, max_size=4).map("".join))
+@example("x\ry")
+@example("a\t= \u00e9")
+@settings(max_examples=40, deadline=None)
+def test_a_source_build_writes_is_read_back_by_plot(pb_mini_path, suite3_path, source):
+    with tempfile.TemporaryDirectory() as work:
+        book = os.path.join(work, "pb.book")
+        code = main(["build", "--pgn", pb_mini_path, "--depth", "4",
+                     "--out", book, "--source", source])
+        if code != 0:
+            assert code == 2
+            assert os.listdir(work) == []
+            return
+        report_dir = os.path.join(work, "report")
+        assert main(["compare", "--book1", book, "--book2", book,
+                     "--suite", suite3_path, "--min-games", "1",
+                     "--bootstrap", "1000", "--out", report_dir]) == 0
+        tsv = os.path.join(report_dir, "comparison.tsv")
+        assert main(["plot", "--report", tsv, "--out", os.path.join(work, "s.svg")]) == 0
+        with open(tsv, encoding="utf-8") as handle:
+            rows, _ = parse_comparison_tsv(handle.read())
+        assert [row.position_id for row in rows] == ["26", "after-e4", "after-d4"]
+        with open(tsv, encoding="utf-8", newline="") as handle:
+            assert f"# book1={source}\n" in handle.read()
 
 
 def break_counts_outside(path, suite_keys):
@@ -373,6 +429,21 @@ class TestCliQuery:
         assert main(["query", "--book", built_books[0],
                      "--epd", 'rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";']) == 0
         assert "e4" in capsys.readouterr().out
+
+    # query writes no report, so an id that a report could not hold is no error
+    @pytest.mark.parametrize("opcodes", ['id "Avg";', 'id "#x";', "bm e4; id y;", ""])
+    def test_epd_opcodes_are_ignored(self, opcodes, built_books, capsys):
+        assert main(["query", "--book", built_books[0], "--fen", rules.START_FEN]) == 0
+        expected = capsys.readouterr()
+        assert main(["query", "--book", built_books[0],
+                     "--epd", f"{rules.START_FEN.rsplit(' ', 2)[0]} {opcodes}"]) == 0
+        assert capsys.readouterr() == expected
+
+    @pytest.mark.parametrize("epd", ["rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq", ""])
+    def test_short_epd_is_data_error_naming_the_fen_fields(self, epd, built_books, capsys):
+        assert main(["query", "--book", built_books[0], "--epd", epd]) == 2
+        assert capsys.readouterr() == (
+            "", f"openbook: expected 4 or 6 fields, got {len(epd.split())}: {epd!r}\n")
 
     def test_negative_min_games_is_usage_error(self, built_books, capsys):
         with pytest.raises(SystemExit) as err:
@@ -879,9 +950,9 @@ def test_outputs_get_the_mode_of_the_umask(pb_mini_path, comp_mini_path, suite3_
 
 
 def run_fresh(code: str) -> str:
-    """Stdout of ``code`` run in a fresh interpreter that imports ``src``."""
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    """Stdout of ``code`` run in a fresh interpreter that imports the openbook
+    these tests import, installed or not."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(openbook.__file__)))
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True).stdout
 
