@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import errno
 import hashlib
-import io
 import os
 import re
 from typing import Dict, Iterable, List, NamedTuple
@@ -182,15 +181,9 @@ def write_atomic(files: Dict[str, str]) -> None:
         raise
 
 
-def save_book(book: Book, sink) -> None:
-    """Write a book file to a path (atomically) or a text/binary file object."""
-    text = _serialize(book)
-    if isinstance(sink, str):
-        write_atomic({sink: text})
-    elif isinstance(sink, io.TextIOBase):
-        sink.write(text)
-    else:
-        sink.write(text.encode("utf-8"))
+def save_book(book: Book, path: str) -> None:
+    """Write a book file to ``path``, atomically."""
+    write_atomic({path: _serialize(book)})
 
 
 def _counts(number: int, line: str, text: str) -> tuple:
@@ -209,8 +202,8 @@ def _counts(number: int, line: str, text: str) -> tuple:
     return counts
 
 
-def load_book(source, keys=None) -> Book:
-    """Read and verify a book file written by save_book.
+def load_book(path: str, keys=None) -> Book:
+    """Read and verify the book file at ``path``, as save_book wrote it.
 
     Every check runs over the whole file, whatever ``keys`` is: the
     checksum, the header and meta lines (with a source that save_book
@@ -227,15 +220,8 @@ def load_book(source, keys=None) -> Book:
     ``positions`` and ``position_count`` cover just those positions. Do
     not save, merge or change it.
     """
-    if isinstance(source, str):
-        with open(source, "rb") as handle:
-            raw = handle.read()
-    elif isinstance(source, io.TextIOBase):
-        raw = source.read().encode("utf-8")
-    else:
-        raw = source.read()
-        if isinstance(raw, str):
-            raw = raw.encode("utf-8")
+    with open(path, "rb") as handle:
+        raw = handle.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -158,13 +158,8 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _comparison_rows(path: str) -> list:
-    with open(path, "r", encoding="utf-8") as handle:
-        return report.parse_comparison_tsv(handle.read())[0]
-
-
 def cmd_plot(args) -> int:
-    rows = _read("report", args.report, _comparison_rows)
+    rows = _read("report", args.report, report.parse_comparison_tsv)
     # scatter_svg draws only rows with both values, so a mark on any other is lost
     marked = _listed_ids(args.mark, "--mark",
                          {row.position_id for row in rows

@@ -26,6 +26,7 @@ _GLUED_NUMBER_RE = re.compile(r"^\d+\.+")
 _MOVETEXT_SPECIAL_RE = re.compile(r"[{}();]")
 _BRACE_COMMENT_RE = re.compile(r"\{[^}]*(?:\}|\Z)")
 _SAN_FIRST = frozenset("abcdefghNBRQKO")  # which start no result, number, NAG or null move
+_BLOCK = 1 << 16  # bytes that _lines reads at a time
 
 
 class GameRecord(NamedTuple):
@@ -52,28 +53,27 @@ class MalformedGame(NamedTuple):
     move_index: Optional[int] = None
 
 
-def _decode(raw: bytes) -> str:
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
-        return raw.decode("latin-1")
-
-
-def _lines(source) -> Iterator[str]:
-    """The lines of a PGN source as text, less a byte-order mark at its start."""
-    if isinstance(source, str):
-        with open(source, "rb") as handle:
-            yield _decode(handle.readline().removeprefix(codecs.BOM_UTF8))
-            for raw in handle:
-                yield _decode(raw)
-        return
-    lines = iter(source)
-    for raw in lines:  # the first line only
-        yield (_decode(raw.removeprefix(codecs.BOM_UTF8)) if isinstance(raw, bytes)
-               else raw.removeprefix("\ufeff"))
-        break
-    for raw in lines:
-        yield _decode(raw) if isinstance(raw, bytes) else raw
+def _lines(path: str) -> Iterator[str]:
+    """The lines of the PGN file at ``path`` as text, each decoded as UTF-8,
+    or as Latin-1 if it is not UTF-8, less a byte-order mark at the file's
+    start. A line ends at LF, CRLF or CR. The file is read a block at a time."""
+    with open(path, "rb") as handle:
+        data = handle.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
+        while True:
+            # a block at least as long as the line begun, so that a line of
+            # any length is split in linear time
+            block = handle.read(max(_BLOCK, len(data)))
+            lines = (data + block).splitlines(True)
+            # the last line may go on in the next block, if only by a CRLF's LF
+            data = lines.pop() if block else b""
+            for raw in lines:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    line = raw.decode("latin-1")
+                yield line
+            if not block:
+                return
 
 
 def _strip_movetext(text: str, out: list, in_brace: bool = False, depth: int = 0):
@@ -154,12 +154,13 @@ def _movetext_tokens(text: str):
     return tokens, result
 
 
-def parse_pgn_stream(source, max_depth: int = 0, min_rating: Optional[int] = None
+def parse_pgn_stream(path: str, max_depth: int = 0, min_rating: Optional[int] = None
                      ) -> Iterator[Union[GameRecord, MalformedGame]]:
-    """Yield games (or malformed-game reports) from a PGN source.
+    """Yield games (or malformed-game reports) from the PGN file at ``path``.
 
-    ``source`` may be a path, a text file object, or an iterable of
-    bytes/str lines. Parsing is single pass; memory is bounded per game.
+    Its lines may end in LF, CRLF or CR, and each is UTF-8 text, or Latin-1
+    if it is not (``_lines``). Parsing is single pass; memory is bounded per
+    game.
     A game's movetext is stripped when the game ends, in one call of
     _strip_movetext (its regex pass or its jump scan). A tag line after
     movetext is comment if the lines before it, stripped then, leave a
@@ -192,7 +193,7 @@ def parse_pgn_stream(source, max_depth: int = 0, min_rating: Optional[int] = Non
         tags, mainline, seen_movetext, in_brace, depth = {}, [], False, False, 0
         return record
 
-    for line in _lines(source):
+    for line in _lines(path):
         if line.startswith("%"):
             continue
         stripped = line.strip()

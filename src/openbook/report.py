@@ -194,25 +194,21 @@ def render_files(doc: ReportDocument, precision: str = "3") -> Dict[str, str]:
             "report.md": "\n".join(markdown) + "\n"}
 
 
-def parse_comparison_tsv(text: str):
-    """Read back a comparison TSV: (rows, metadata dict).
+def parse_comparison_tsv(path: str) -> List[ComparisonRow]:
+    """Read back the rows of the comparison TSV at ``path``, UTF-8 text.
 
-    Summary rows (Avg/Std) are not returned as comparison rows. A header
-    other than ``COMPARISON_HEADER``, or a value that is not finite, which
-    the renderer never writes, is a ValueError.
+    Its ``# `` lines are notes for readers and are skipped, and so are the
+    summary rows (Avg/Std). A header other than ``COMPARISON_HEADER``, or a
+    value that is not finite, which the renderer never writes, is a
+    ValueError.
     """
-    metadata = {}
+    with open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     rows: List[ComparisonRow] = []
     header_seen = False
     width = COMPARISON_HEADER.count("\t") + 1
     for line in text.splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                metadata[key.strip()] = value
-            continue
-        if not line.strip():
+        if line.startswith("#") or not line.strip():
             continue
         if not header_seen:
             if line != COMPARISON_HEADER:
@@ -229,4 +225,4 @@ def parse_comparison_tsv(text: str):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"non-finite {column} in comparison TSV row: {line!r}")
         rows.append(ComparisonRow(cells[0], *values))
-    return rows, metadata
+    return rows

@@ -10,7 +10,7 @@ of ``SUMMARY_LABELS`` (its summary rows) is refused.
 from __future__ import annotations
 
 import re
-from typing import Iterable, List, NamedTuple, Union
+from typing import List, NamedTuple
 
 from . import rules
 
@@ -31,16 +31,14 @@ class SuiteEntry(NamedTuple):
 _ID_RE = re.compile(r'\bid\s+(?:"([^"]*)"|(\S+?));')
 
 
-def parse_epd_suite(source: Union[str, Iterable[str]]) -> List[SuiteEntry]:
-    """Parse an EPD file (path or iterable of lines) into suite entries."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8-sig") as handle:
-            try:
-                lines = handle.readlines()
-            except UnicodeDecodeError as exc:
-                raise SuiteError(f"not UTF-8 text: {exc}") from None
-    else:
-        lines = list(source)
+def parse_epd_suite(path: str) -> List[SuiteEntry]:
+    """Parse the EPD file at ``path``, UTF-8 text with or without a
+    byte-order mark, into suite entries."""
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
+            lines = handle.readlines()
+        except UnicodeDecodeError as exc:
+            raise SuiteError(f"not UTF-8 text: {exc}") from None
     entries: List[SuiteEntry] = []
     seen_ids = set()
     for number, line in enumerate(lines, 1):

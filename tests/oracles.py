@@ -6,7 +6,7 @@ from typing import List
 
 from openbook.book import MoveStats
 from openbook.measures import MoveDistribution
-from openbook.pgn import GameRecord, parse_pgn_stream
+from openbook.pgn import GameRecord, _finish_game
 from openbook.rules import (
     WHITE,
     IllegalMoveError,
@@ -25,8 +25,10 @@ from openbook.stats import StatsError
 def recorded(moves, result) -> GameRecord:
     """The record that parse_pgn_stream makes of a game with no tags, the
     mainline ``moves`` and ``result``: it carries the plies of all its
-    moves, or None if ``result`` is "*"."""
-    record = next(parse_pgn_stream([" ".join(moves) + " " + result], len(moves)))
+    moves, or None if ``result`` is "*". It comes from ``_finish_game``,
+    where parse_pgn_stream decides each game's verdict, so no file is
+    written for it."""
+    record = _finish_game({}, " ".join(moves) + " " + result, 1, len(moves))
     assert isinstance(record, GameRecord), record
     return record
 

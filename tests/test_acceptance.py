@@ -4,7 +4,6 @@ pass/fail line. Tolerances are fixed here and nowhere else.
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
 
-import io
 import os
 import random
 from fractions import Fraction
@@ -13,6 +12,7 @@ import pytest
 
 import refdata
 from oracles import jsd_entropy_form, normalize, ranked_from_counts, recorded
+from tempfiles import saved, written
 from openbook import rules
 from openbook.book import Book, MoveStats, build_book, load_book, merge_books, save_book
 from openbook.cli import main
@@ -75,9 +75,11 @@ def test_criterion_1_worked_example_through_compare(tmp_path):
     try:
         assert main(["compare", "--book1", books[0], "--book2", books[1],
                      "--suite", str(suite), "--precision", "full", "--out", out_dir]) == 0
-        with open(os.path.join(out_dir, "comparison.tsv"), encoding="utf-8") as handle:
-            rows, metadata = parse_comparison_tsv(handle.read())
-        assert (metadata["book1_games"], metadata["book2_games"]) == ("1010757", "276540")
+        tsv = os.path.join(out_dir, "comparison.tsv")
+        with open(tsv, encoding="utf-8", newline="") as handle:
+            lines = handle.read().split("\n")
+        assert lines[3:5] == ["# book1_games=1010757", "# book2_games=276540"]
+        rows = parse_comparison_tsv(tsv)
         [row] = rows
         assert row.overlap == 9 / 11
         assert round(row.m_measure, 4) == 0.9694
@@ -233,8 +235,7 @@ def test_criterion_5d_build_merge_determinism():
     rng = random.Random(31)
     games = _random_games(rng, 24)
     whole = build_book(games, max_depth=6, source="s")
-    reference = io.StringIO()
-    save_book(whole, reference)
+    reference = saved(whole)
     try:
         for _ in range(5):
             cut = rng.randrange(1, len(games))
@@ -242,9 +243,7 @@ def test_criterion_5d_build_merge_determinism():
             rng.shuffle(shuffled)
             merged = merge_books(build_book(shuffled[:cut], max_depth=6, source="s"),
                                  build_book(shuffled[cut:], max_depth=6, source="s"))
-            buffer = io.StringIO()
-            save_book(merged, buffer)
-            assert buffer.getvalue() == reference.getvalue()
+            assert saved(merged) == reference
     except AssertionError:
         print(f"FAIL  {label}")
         raise
@@ -258,10 +257,8 @@ def test_criterion_5e_book_round_trip_with_checksum():
     try:
         for _ in range(5):
             book = build_book(_random_games(rng, 10), max_depth=6, source="rt")
-            buffer = io.StringIO()
-            save_book(book, buffer)
-            text = buffer.getvalue()
-            assert load_book(io.StringIO(text)) == book
+            text = saved(book)
+            assert load_book(written(text)) == book
             assert text.splitlines()[-1].startswith("sha256 ")
     except AssertionError:
         print(f"FAIL  {label}")
@@ -321,7 +318,7 @@ def test_criterion_6_end_to_end_fixture_run(tmp_path, pb_mini_path,
                 open(os.path.join(out_b, "comparison.tsv"), "rb") as fb:
             text = fa.read()
             assert text == fb.read()
-        rows, _ = parse_comparison_tsv(text.decode("utf-8"))
+        rows = parse_comparison_tsv(os.path.join(out_a, "comparison.tsv"))
         row = {r.position_id: r for r in rows}["26"]
         assert row.overlap == pytest.approx(9 / 11, abs=1e-9)
         assert row.m_measure == pytest.approx(0.9694, abs=1e-4)

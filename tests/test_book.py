@@ -1,5 +1,4 @@
 import hashlib
-import io
 import os
 import random
 import tracemalloc
@@ -9,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ranked_from_counts, recorded, reference_book
+from tempfiles import saved, written
 from openbook import rules
 from openbook.book import (
     Book,
@@ -68,9 +68,9 @@ def signed(body):
 
 
 def roundtrip(book):
-    buffer = io.StringIO()
-    save_book(book, buffer)
-    return load_book(io.StringIO(buffer.getvalue()))
+    path = written(b"")
+    save_book(book, path)
+    return load_book(path)
 
 
 class TestBuild:
@@ -119,7 +119,7 @@ class TestBuild:
         book that the reference replay counts, with its own rating and
         result rule, from the games the PGN text was written from."""
         text = "\n".join(pgn for _, pgn in drawn)
-        built = build_book(filter_games(parse_pgn_stream(io.StringIO(text), depth, min_rating)),
+        built = build_book(filter_games(parse_pgn_stream(written(text), depth, min_rating)),
                            depth)
         entered, counts = reference_book([game for game, _ in drawn], depth, min_rating)
         assert built.games == entered
@@ -142,7 +142,7 @@ class TestBuild:
                 tokens.append(rules.emit_san(p, m))
                 p = rules._apply(p, m)
             lines += ['[Result "1-0"]', "", " ".join(tokens) + " 1-0", ""]
-        records = list(parse_pgn_stream(lines, 20))
+        records = list(parse_pgn_stream(written("\n".join(lines) + "\n"), 20))
         assert all(isinstance(r, GameRecord) and r.plies for r in records)
         assert len(records) == 200
         tracemalloc.start()
@@ -196,30 +196,24 @@ class TestPersistence:
         assert roundtrip(book) == book
 
     def test_truncated_file_rejected(self):
-        buffer = io.StringIO()
-        save_book(self.build_sample(), buffer)
-        text = buffer.getvalue()
+        text = saved(self.build_sample())
         with pytest.raises(BookFormatError):
-            load_book(io.StringIO(text[:len(text) // 2]))
+            load_book(written(text[:len(text) // 2]))
 
     def test_corrupted_byte_fails_checksum(self):
-        buffer = io.StringIO()
-        save_book(self.build_sample(), buffer)
-        text = buffer.getvalue().replace("mv e4", "mv e5", 1)
+        text = saved(self.build_sample()).replace("mv e4", "mv e5", 1)
         with pytest.raises(BookFormatError, match="checksum"):
-            load_book(io.StringIO(text))
+            load_book(written(text))
 
     def test_malformed_line_reports_number(self):
         book = build_book([recorded(["e4"], "1-0")], max_depth=2, source="s")
-        buffer = io.StringIO()
-        save_book(book, buffer)
-        lines = buffer.getvalue().splitlines()
+        lines = saved(book).splitlines()
         lines[3] = "mv e4 1 1 0"  # drop a count column
         body = "\n".join(lines[:-1]) + "\n"
         import hashlib
         digest = hashlib.sha256(body.encode()).hexdigest()
         with pytest.raises(BookFormatError, match="line 4"):
-            load_book(io.StringIO(body + f"sha256 {digest}\n"))
+            load_book(written(body + f"sha256 {digest}\n"))
 
     @pytest.mark.parametrize("mv", ["mv e4 0 0 0 0", "mv e4 1 2 0 -1"])
     def test_unplayed_or_negative_counts_rejected(self, mv):
@@ -229,7 +223,7 @@ class TestPersistence:
         import hashlib
         digest = hashlib.sha256(body.encode()).hexdigest()
         with pytest.raises(BookFormatError, match="line 4: bad counts"):
-            load_book(io.StringIO(body + f"sha256 {digest}\n"))
+            load_book(written(body + f"sha256 {digest}\n"))
 
     @pytest.mark.parametrize("games, mv, message", [
         ("\u0661", "mv e4 1 1 0 0", "line 2: bad meta line"),
@@ -242,11 +236,11 @@ class TestPersistence:
         import hashlib
         digest = hashlib.sha256(body.encode()).hexdigest()
         with pytest.raises(BookFormatError, match=message):
-            load_book(io.StringIO(body + f"sha256 {digest}\n"))
+            load_book(written(body + f"sha256 {digest}\n"))
         # the same book with ASCII digits loads, non-ASCII source and all
         ascii_body = body.replace("\u0661", "1")
         digest = hashlib.sha256(ascii_body.encode()).hexdigest()
-        assert load_book(io.StringIO(ascii_body + f"sha256 {digest}\n")).source == "caf\u00e9"
+        assert load_book(written(ascii_body + f"sha256 {digest}\n")).source == "caf\u00e9"
 
     @pytest.mark.parametrize("mv", ["mv e4 +1 1 0 0", "mv e4 0_1 1 0 0", "mv e4 01 1 0 0",
                                     "mv e4  1 1 0 0", "mv e4\t1 1 0 0", "mv e4 1 1 0 0 "])
@@ -256,26 +250,26 @@ class TestPersistence:
         body = ("openbook-diff v1\nmeta source=s games=1 positions=1 depth=2\n"
                 f"pos {START_KEY}\n{mv}\n")
         with pytest.raises(BookFormatError, match="line 4: "):
-            load_book(io.StringIO(signed(body)))
+            load_book(written(signed(body)))
 
     def test_missing_final_line_break_rejected(self):
         text = signed("openbook-diff v1\nmeta source=s games=0 positions=0 depth=2\n")
         with pytest.raises(BookFormatError, match="line 3: no line break at the end"):
-            load_book(io.StringIO(text[:-1]))
+            load_book(written(text[:-1]))
 
     def test_non_utf8_file_rejected(self):
-        buffer = io.BytesIO()
-        save_book(self.build_sample(), buffer)
+        data = saved(self.build_sample()).encode()
         with pytest.raises(BookFormatError, match="UTF-8"):
-            load_book(io.BytesIO(buffer.getvalue().replace(b"sample", b"s\xe4mple")))
+            load_book(written(data.replace(b"sample", b"s\xe4mple")))
 
     @pytest.mark.parametrize("source", ["a\nb", "a\udcffb"])
     def test_unreadable_source_refused_before_writing(self, source):
         book = build_book([recorded(["e4"], "1-0")], max_depth=2, source=source)
-        buffer = io.StringIO()
+        path = written(b"")
         with pytest.raises(BookFormatError, match="source"):
-            save_book(book, buffer)
-        assert buffer.getvalue() == ""
+            save_book(book, path)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read() == ""
 
     def test_save_to_path_leaves_the_umask_alone(self, tmp_path, monkeypatch):
         def umask(mask):
@@ -358,7 +352,7 @@ class TestKeys:
         errors = set()
         for keys in (None, set(), {away}):
             with pytest.raises(BookFormatError) as err:
-                load_book(io.StringIO(text), keys)
+                load_book(written(text), keys)
             errors.add(str(err.value))
         assert len(errors) == 1
         assert errors.pop().startswith(message)
@@ -370,20 +364,20 @@ class TestKeys:
         for i in range(4000):
             lines += [f"pos k{i:05d}", "mv e4 1 1 0 0"]
         text = "\n".join(lines) + "\n"
-        load_book(io.StringIO(signed(text)), set())
+        load_book(written(signed(text)), set())
         for number in [4, 3999, 4000, 4001, len(lines)]:
             for edit, message in (("junk", "unexpected line"), ("mv e4 2 1 0 0", "bad counts"),
                                   ("mv \x7f 1 1 0 0", "bad mv line")):
                 broken = list(lines)
                 broken[number - 1] = edit
                 with pytest.raises(BookFormatError, match=f"^line {number}: {message}"):
-                    load_book(io.StringIO(signed("\n".join(broken) + "\n")), set())
+                    load_book(written(signed("\n".join(broken) + "\n")), set())
 
     def test_view_holds_only_the_requested_positions(self):
-        full = load_book(io.StringIO(view_book()))
+        full = load_book(written(view_book()))
         assert sorted(full.positions) == [FIRST, SECOND]
         for keys in (set(), {FIRST}, {SECOND}, {FIRST, SECOND, "absent"}):
-            view = load_book(io.StringIO(view_book()), keys)
+            view = load_book(written(view_book()), keys)
             assert (view.depth, view.source, view.games) == (full.depth, full.source, full.games)
             assert view.positions == {k: full.positions[k] for k in keys if k in full.positions}
             for key in (FIRST, SECOND):
@@ -427,10 +421,7 @@ class TestMerge:
                                  build_book(games[cut:], max_depth=6, source="s"))
             assert merged == whole
             # bit-identical files, not just equal objects
-            buf_a, buf_b = io.StringIO(), io.StringIO()
-            save_book(whole, buf_a)
-            save_book(merged, buf_b)
-            assert buf_a.getvalue() == buf_b.getvalue()
+            assert saved(whole) == saved(merged)
 
     def test_build_order_invariance(self):
         games = [recorded(["e4", "e5"], "1-0"), recorded(["d4"], "0-1"),

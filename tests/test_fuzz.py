@@ -6,7 +6,6 @@ parser. Example counts are capped to keep the tier-1 run short.
 """
 
 import hashlib
-import io
 import os
 import re
 import tempfile
@@ -16,8 +15,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import recorded
+from tempfiles import saved, written
 from openbook import rules
-from openbook.book import BookFormatError, build_book, load_book, save_book
+from openbook.book import BookFormatError, build_book, load_book
 from openbook.cli import main
 from openbook.pgn import GameRecord, MalformedGame, parse_pgn_stream
 
@@ -79,16 +79,14 @@ BOOK_BYTES = st.one_of(
 @example(b'[FEN "4k3/8/8/8/8/8/8/4K\xc2\xb21 w - - 0 1"]\n\n1. Kd2 1-0\n')
 @given(_chunks(PGN_PIECES, 40))
 def test_pgn_stream_yields_only_records_and_reports(data):
-    for item in parse_pgn_stream(io.BytesIO(data)):
+    for item in parse_pgn_stream(written(data)):
         assert isinstance(item, (GameRecord, MalformedGame))
 
 
 def _saved_book():
     games = [recorded(["e4", "e5", "Nf3"], "1-0"), recorded(["d4"], "0-1"),
              recorded(["e4", "c5"], "1/2-1/2")]
-    buffer = io.BytesIO()
-    save_book(build_book(games, max_depth=3, source="fuzz"), buffer)
-    return buffer.getvalue()
+    return saved(build_book(games, max_depth=3, source="fuzz")).encode()
 
 
 SAVED_BOOK = _saved_book()
@@ -101,7 +99,7 @@ def test_any_single_byte_change_to_a_book_is_rejected(index, delta):
     corrupted = bytearray(SAVED_BOOK)
     corrupted[index] = (corrupted[index] + delta) % 256
     with pytest.raises(BookFormatError):
-        load_book(io.BytesIO(bytes(corrupted)))
+        load_book(written(bytes(corrupted)))
 
 
 def _games_with(prefix):
@@ -156,12 +154,10 @@ def _drawn_books(draw):
 @given(_drawn_books())
 def test_every_book_load_book_accepts_is_saved_back_byte_for_byte(data):
     try:
-        book = load_book(io.BytesIO(data))
+        book = load_book(written(data))
     except BookFormatError:
         return
-    saved = io.BytesIO()
-    save_book(book, saved)
-    assert saved.getvalue() == data
+    assert saved(book).encode() == data
 
 
 def _exit_code(argv):

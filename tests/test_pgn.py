@@ -1,5 +1,4 @@
 import codecs
-import io
 import random
 from collections import Counter
 from unittest import mock
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tempfiles import written
 from openbook import pgn, rules
 from openbook.book import load_book
 from openbook.cli import main
@@ -31,7 +31,7 @@ SIMPLE = """\
 
 
 def parse(text):
-    return list(parse_pgn_stream(io.StringIO(text)))
+    return list(parse_pgn_stream(written(text)))
 
 
 def test_single_game():
@@ -97,7 +97,7 @@ def test_result_from_tag_when_marker_missing():
 
 def test_latin1_fallback_in_tags():
     raw = '[White "K\xe4rner"]\n[Result "*"]\n\n1. e4 *\n'.encode("latin-1")
-    games = list(parse_pgn_stream(io.BytesIO(raw).readlines()))
+    games = list(parse_pgn_stream(written(raw)))
     assert games[0].tags["White"] == "K\xe4rner"
 
 
@@ -106,23 +106,36 @@ def test_glued_move_numbers():
     assert games[0].moves == ("e4", "e5", "Nf3")
 
 
-@pytest.mark.parametrize("wrap", [
-    lambda data, path: str(path),
-    lambda data, path: io.BytesIO(data).readlines(),
-    lambda data, path: data.decode("utf-8").splitlines(True),
-    lambda data, path: io.StringIO(data.decode("utf-8")),
-], ids=["path", "bytes lines", "str lines", "text stream"])
-def test_byte_order_mark_starts_no_game(wrap, tmp_path):
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_byte_order_mark_starts_no_game(line_end):
     """A UTF-8 byte-order mark, which Windows tools write, is dropped from
-    the start of every kind of source: the first tag stays a tag."""
-    path = tmp_path / "bom.pgn"
-    path.write_bytes(codecs.BOM_UTF8 + SIMPLE.encode())
-    assert list(parse_pgn_stream(wrap(path.read_bytes(), path))) == parse(SIMPLE)
+    the start of a file, whatever its line ends: the first tag stays a tag."""
+    data = codecs.BOM_UTF8 + SIMPLE.replace("\n", line_end).encode()
+    assert list(parse_pgn_stream(written(data))) == parse(SIMPLE)
+
+
+LINE_PIECES = [b"\n", b"\r", b"\r\n", b"e4", b" ", b"\xe4", b"\xc3\xa4", codecs.BOM_UTF8]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map(b"".join), st.integers(1, 6))
+def test_lines_end_at_lf_crlf_or_cr_wherever_a_block_ends(data, block):
+    """Read a few bytes at a time, a file gives the lines that splitting it
+    whole gives: one per LF, CRLF or CR, each UTF-8 else Latin-1, and a
+    byte-order mark dropped only at the start."""
+    expected = []
+    for raw in data.removeprefix(codecs.BOM_UTF8).splitlines(True):
+        try:
+            expected.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            expected.append(raw.decode("latin-1"))
+    with mock.patch.object(pgn, "_BLOCK", block):
+        assert list(pgn._lines(written(data))) == expected
 
 
 def test_byte_order_mark_dropped_before_the_latin1_fallback():
     raw = codecs.BOM_UTF8 + '[White "K\xe4rner"]\n[Result "*"]\n\n1. e4 *\n'.encode("latin-1")
-    games = list(parse_pgn_stream(io.BytesIO(raw).readlines()))
+    games = list(parse_pgn_stream(written(raw)))
     assert games[0].tags == {"White": "K\xe4rner", "Result": "*"}
 
 
@@ -164,7 +177,7 @@ def test_min_rating_filter():
             '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n\n'
             '[WhiteElo "2450"]\n[Result "0-1"]\n\n1. c4 0-1\n\n'
             '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "*"]\n\n1. Nf3 *\n')
-    games = list(parse_pgn_stream(io.StringIO(text), min_rating=2400))
+    games = list(parse_pgn_stream(written(text), min_rating=2400))
     assert [g.plies for g in games] == [None, (), None, None]
     kept = list(filter_games(games))
     assert [g.moves for g in kept] == [("d4",)]
@@ -176,7 +189,7 @@ def test_min_rating_filter():
 def test_min_rating_needs_ascii_digits(elo):
     text = (f'[WhiteElo "{elo}"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n1. e4 1-0\n\n'
             '[WhiteElo "2400"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n')
-    rated = parse_pgn_stream(io.StringIO(text), min_rating=2400)
+    rated = parse_pgn_stream(written(text), min_rating=2400)
     assert [g.moves for g in filter_games(rated)] == [("d4",)]
     assert len(list(filter_games(parse(text)))) == 2
 
@@ -233,13 +246,13 @@ def test_line_replays_moves_once_and_is_kept():
     game that passes keeps no plies, yet not None."""
     start = rules.initial_position()
     after_e4 = rules._apply(start, rules.parse_san(start, "e4"))
-    game = next(parse_pgn_stream(io.StringIO(SIMPLE), max_depth=2))
+    game = next(parse_pgn_stream(written(SIMPLE), max_depth=2))
     assert game.plies == ((rules.position_key(start), "e4"),
                           (rules.position_key(after_e4), "e5"))
     assert game == parse(SIMPLE)[0]._replace(plies=game.plies)
     assert parse(SIMPLE)[0].plies == ()
-    assert next(parse_pgn_stream(io.StringIO(SIMPLE), 2, min_rating=1)).plies is None
-    assert next(parse_pgn_stream(io.StringIO(SIMPLE.replace('"1-0"', '"*"').replace(
+    assert next(parse_pgn_stream(written(SIMPLE), 2, min_rating=1)).plies is None
+    assert next(parse_pgn_stream(written(SIMPLE.replace('"1-0"', '"*"').replace(
         " 1-0", " *")), 2)).plies is None
 
 

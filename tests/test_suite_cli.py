@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tempfiles import written
 import openbook
 from openbook import book as book_mod
 from openbook import rules
@@ -32,33 +33,33 @@ INT_LOOKALIKES = ["+1000", " 1000", "1_000", "\u0661\u0660\u0660\u0660"]
 class TestEpdSuite:
     def test_initial_position_with_id(self):
         entries = parse_epd_suite(
-            ['rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";'])
+            written('rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";\n'))
         assert len(entries) == 1
         assert entries[0].position_id == "26"
         assert entries[0].key == rules.position_key(rules.initial_position())
         assert entries[0].side_to_move == "w"
 
     def test_missing_id_auto_assigned(self):
-        entries = parse_epd_suite(["4k3/8/8/8/8/8/8/4K3 w - -"])
+        entries = parse_epd_suite(written("4k3/8/8/8/8/8/8/4K3 w - -\n"))
         assert entries[0].position_id == "pos1"
 
     def test_other_opcodes_ignored(self):
         entries = parse_epd_suite(
-            ['4k3/8/8/8/8/8/8/4K3 w - - bm Kd2; id "x"; c0 "note";'])
+            written('4k3/8/8/8/8/8/8/4K3 w - - bm Kd2; id "x"; c0 "note";\n'))
         assert entries[0].position_id == "x"
 
     def test_empty_file_rejected(self):
         with pytest.raises(SuiteError, match="empty"):
-            parse_epd_suite([])
+            parse_epd_suite(written(""))
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(SuiteError, match="line 2"):
-            parse_epd_suite(["4k3/8/8/8/8/8/8/4K3 w - -", "not a position"])
+            parse_epd_suite(written("4k3/8/8/8/8/8/8/4K3 w - -\nnot a position\n"))
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(SuiteError, match="duplicate"):
-            parse_epd_suite(['4k3/8/8/8/8/8/8/4K3 w - - id "a";',
-                             '4k3/8/8/8/8/8/8/4K3 b - - id "a";'])
+            parse_epd_suite(written('4k3/8/8/8/8/8/8/4K3 w - - id "a";\n'
+                                    '4k3/8/8/8/8/8/8/4K3 b - - id "a";\n'))
 
     def test_non_utf8_file_rejected(self, tmp_path):
         suite_file = tmp_path / "suite.epd"
@@ -261,6 +262,24 @@ class TestCliBuild:
             "rnbqkbnr/pppppppp/8/8/4P3/8/PPPP1PPP/RNBQKBNR b KQkq - 0 1\n")
         assert "\ngames=1 " in outputs[0][0].out
 
+    def test_lf_crlf_and_cr_line_ends_build_the_same_book(self, tmp_path, pb_mini_path,
+                                                          monkeypatch, capsys):
+        """A PGN file's lines may end in LF, CRLF or a lone CR, which old Mac
+        tools write: each copy builds the same book, with the same output."""
+        with open(pb_mini_path, "rb") as handle:
+            data = handle.read()
+        outputs = []
+        for name, line_end in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "games.pgn").write_bytes(data.replace(b"\n", line_end))
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["build", "--pgn", "games.pgn", "--out", "games.book",
+                         "--depth", "4"]) == 0
+            outputs.append((capsys.readouterr(), (tmp_path / name / "games.book").read_bytes()))
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert "\ngames=49 positions=3 " in outputs[0][0].out
+
     def test_unwritable_out_names_the_path_asked_for(self, tmp_path, pb_mini_path, capsys):
         out = tmp_path / "missing" / "o.book"
         assert main(["build", "--pgn", pb_mini_path, "--out", str(out)]) == 2
@@ -370,6 +389,7 @@ SOURCE_PIECES = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
 @given(st.lists(st.sampled_from(SOURCE_PIECES), min_size=1, max_size=4).map("".join))
 @example("x\ry")
 @example("a\t= \u00e9")
+@example("a ")  # a note's value keeps its trailing space
 @settings(max_examples=40, deadline=None)
 def test_a_source_build_writes_is_read_back_by_plot(pb_mini_path, suite3_path, source):
     with tempfile.TemporaryDirectory() as work:
@@ -386,8 +406,7 @@ def test_a_source_build_writes_is_read_back_by_plot(pb_mini_path, suite3_path, s
                      "--bootstrap", "1000", "--out", report_dir]) == 0
         tsv = os.path.join(report_dir, "comparison.tsv")
         assert main(["plot", "--report", tsv, "--out", os.path.join(work, "s.svg")]) == 0
-        with open(tsv, encoding="utf-8") as handle:
-            rows, _ = parse_comparison_tsv(handle.read())
+        rows = parse_comparison_tsv(tsv)
         assert [row.position_id for row in rows] == ["26", "after-e4", "after-d4"]
         with open(tsv, encoding="utf-8", newline="") as handle:
             assert f"# book1={source}\n" in handle.read()
@@ -464,7 +483,7 @@ class TestCliQuery:
         cases = [(fen, min_games) for fen in fens for min_games in ("0", "2")]
         viewed = [run(*case) for case in cases]
         full_load = book_mod.load_book
-        monkeypatch.setattr(book_mod, "load_book", lambda source, keys=None: full_load(source))
+        monkeypatch.setattr(book_mod, "load_book", lambda path, keys=None: full_load(path))
         assert [run(*case) for case in cases] == viewed
         assert viewed[cases.index((rules.START_FEN, "0"))].count("\n") == 11
 
@@ -598,8 +617,7 @@ class TestCliCompare:
         assert main(["compare", "--book1", built_books[0], "--book2", built_books[0],
                      "--suite", suite3_path, "--min-games", "1",
                      "--bootstrap", "1000", "--seed", "1", "--out", out_dir]) == 0
-        with open(os.path.join(out_dir, "comparison.tsv")) as handle:
-            rows, _ = parse_comparison_tsv(handle.read())
+        rows = parse_comparison_tsv(os.path.join(out_dir, "comparison.tsv"))
         assert all(r.m_measure == 1.0 and r.jsd == 1.0 and r.overlap == 1.0
                    for r in rows)
         with open(os.path.join(out_dir, "comparison.tsv")) as handle:
@@ -615,11 +633,12 @@ class TestCliCompare:
         assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
                      "--suite", str(suite_file), "--min-games", "1",
                      "--bootstrap", "1000", "--seed", "1", "--out", out_dir]) == 0
-        with open(os.path.join(out_dir, "comparison.tsv")) as handle:
-            rows, metadata = parse_comparison_tsv(handle.read())
+        tsv = os.path.join(out_dir, "comparison.tsv")
+        rows = parse_comparison_tsv(tsv)
         unbooked = [r for r in rows if r.position_id == "unbooked"][0]
         assert unbooked.m_measure is None and unbooked.jsd is None
-        assert metadata["undefined_cells"] != "0"
+        with open(tsv, encoding="utf-8", newline="") as handle:
+            assert "# undefined_cells=4\n" in handle.read()
 
     # past 17 places a double prints only noise; a huge value broke the formatter
     @pytest.mark.parametrize("precision", ["abc", "-1", "2.5", "+3", "\u0663", "18",
@@ -767,9 +786,10 @@ class TestCliCompare:
     def test_tsv_self_consistency_round_trip(self, built_books, suite3_path, tmp_path):
         out_dir = self.run_compare(built_books, suite3_path, tmp_path,
                                    extra=("--precision", "full"))
-        with open(os.path.join(out_dir, "comparison.tsv")) as handle:
+        tsv = os.path.join(out_dir, "comparison.tsv")
+        with open(tsv) as handle:
             text = handle.read()
-        rows, metadata = parse_comparison_tsv(text)
+        rows = parse_comparison_tsv(tsv)
         from openbook.stats import summarize
         summary = summarize(rows, ComparisonRow._fields[1:])
         avg_line = [l for l in text.splitlines() if l.startswith("Avg")][0]
