@@ -74,7 +74,7 @@ def query(book: Book, key: str) -> List[MoveStats]:
 _RESULT_TALLY = {"1-0": (1, 0, 0), "1/2-1/2": (0, 1, 0), "0-1": (0, 0, 1)}
 
 
-def build_book(games: Iterable[GameRecord], max_depth: int = 40, source: str = "") -> Book:
+def build_book(games: Iterable[GameRecord], max_depth: int, source: str = "") -> Book:
     """Accumulate move statistics over the first ``max_depth`` plies of each game.
 
     ``games`` are records of games that enter a book, as filter_games

@@ -144,17 +144,16 @@ def cmd_compare(args) -> int:
     keys = {entry.key for entry in suite}
     book1 = _read("book", args.book1, book_mod.load_book, keys)
     book2 = _read("book", args.book2, book_mod.load_book, keys)
-    doc = report.build_report(book1, book2, suite, min_games=args.min_games,
-                              resamples=args.bootstrap, seed=args.seed,
-                              exclude=exclude)
+    files, undefined_cells = report.build_report(book1, book2, suite, args.min_games,
+                                                 args.bootstrap, args.seed, exclude,
+                                                 args.precision)
     _write(os.makedirs, args.out, exist_ok=True)
     # as one set: a write that fails replaces none of the three files
     _write(book_mod.write_atomic,
-           {os.path.join(args.out, name): text
-            for name, text in report.render_files(doc, args.precision).items()})
+           {os.path.join(args.out, name): text for name, text in files.items()})
     print(f"report written to {args.out}")
-    if doc.metadata["undefined_cells"] != "0":
-        print(f"undefined cells: {doc.metadata['undefined_cells']}")
+    if undefined_cells:
+        print(f"undefined cells: {undefined_cells}")
     return EXIT_OK
 
 
@@ -228,10 +227,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as exc:
-        print(f"openbook: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"openbook: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -154,7 +154,7 @@ def _movetext_tokens(text: str):
     return tokens, result
 
 
-def parse_pgn_stream(path: str, max_depth: int = 0, min_rating: Optional[int] = None
+def parse_pgn_stream(path: str, max_depth: int, min_rating: Optional[int] = None
                      ) -> Iterator[Union[GameRecord, MalformedGame]]:
     """Yield games (or malformed-game reports) from the PGN file at ``path``.
 
@@ -211,7 +211,7 @@ def parse_pgn_stream(path: str, max_depth: int = 0, min_rating: Optional[int] = 
         yield finish()
 
 
-def _finish_game(tags: dict, movetext: str, game_index: int, max_depth: int = 0,
+def _finish_game(tags: dict, movetext: str, game_index: int, max_depth: int,
                  min_rating: Optional[int] = None) -> Union[GameRecord, MalformedGame]:
     tokens, marker = _movetext_tokens(movetext)
     tag_result = tags.get("Result")

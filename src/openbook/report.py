@@ -1,21 +1,23 @@
-"""Comparison report: per-position rows, summaries, correlation block.
+"""Comparison report: per-position rows, summaries and the correlation notes.
 
-``build_report`` picks the rows that feed the correlation: those with both
-M and JSD defined, and for the second pass those of them whose id is not
-excluded. ``stats`` sees only their two columns.
+``build_report`` lays the report out in one pass. It queries both books at
+each suite position for that position's rows, picks the rows that feed the
+correlation (those with both M and JSD defined, and for the second pass
+those of them whose id is not excluded) and writes each pass's
+``pearson_<label>=`` note; ``stats`` sees only the pairs' two columns. It
+then formats each table's cells once, every value cell through ``_fmt``,
+which writes an undefined (None) cell as ``undefined``, and writes the run
+notes that carry everything needed to reproduce it bit-exactly.
 
-One renderer, ``render_files``, writes all three report files. It formats
-each table's cells once, every value cell through ``_fmt``, which writes an
-undefined (None) cell as ``undefined``. A TSV file is its table between
-notes (``# `` lines); report.md lays out the same cells and notes as
-Markdown, so no file is made by reading another back. The notes carry
-everything needed to reproduce a run bit-exactly.
+``render_files`` only lays out the given cells and notes: a TSV file is its
+table between notes (``# `` lines), and report.md lays out the same cells
+and notes as Markdown, so no file is made by reading another back.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import measures, stats
 from .book import Book, query
@@ -26,47 +28,33 @@ UNDEFINED = "undefined"
 COMPARISON_HEADER = "pos\tm_measure\tmax_m\tjsd\toverlap"
 
 
-class CorrelationBlock(NamedTuple):
-    """Pearson M-vs-JSD with its bootstrap CI over one row subset."""
-
-    label: str
-    n: int
-    pearson: Optional[float]
-    ci: Optional[Tuple[float, float]]  # (lower, upper)
-    note: str = ""
-
-
-class ReportDocument(NamedTuple):
-    comparison_rows: List[ComparisonRow]
-    expected_rows: List[ExpectedScoreRow]
-    comparison_summary: Dict[str, Optional[Tuple[float, float]]]
-    expected_summary: Dict[str, Optional[Tuple[float, float]]]
-    correlation_full: CorrelationBlock
-    correlation_excluded: Optional[CorrelationBlock]
-    metadata: Dict[str, str]
-
-
-def _correlate(label: str, rows: Sequence[ComparisonRow], resamples: int,
-               seed: int) -> CorrelationBlock:
+def _pearson_note(label: str, rows: Sequence[ComparisonRow], resamples: int, seed: int,
+                  precision: str) -> str:
+    """The ``pearson_<label>=`` note: Pearson M-vs-JSD over ``rows`` and its
+    bootstrap CI, or, where either is undefined, the reason."""
     x = [row.m_measure for row in rows]
     y = [row.jsd for row in rows]
-    r, ci, note = None, None, ""
+    r = None
     try:
         r = stats.pearson(x, y)
         # x goes positionally: perfbench/tracer.py reads len(args[0]) as the pair count
-        ci = stats.bootstrap_ci(x, y, resamples=resamples, seed=seed)
+        lower, upper = stats.bootstrap_ci(x, y, resamples=resamples, seed=seed)
+        tail = f"ci95=[{_fmt(lower, precision)},{_fmt(upper, precision)}]"
     except stats.StatsError as exc:
-        note = str(exc)
-    return CorrelationBlock(label, len(rows), r, ci, note)
+        # an undefined pearson has no CI, so its note ends with the reason
+        tail = f"note={exc}"
+    return f"pearson_{label}={_fmt(r, precision)} n={len(rows)} {tail}"
 
 
-def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
-                 min_games: int = 10, resamples: int = 10000, seed: int = 0,
-                 exclude: Sequence[str] = ()) -> ReportDocument:
-    """Compare two books over a suite and correlate M with JSD.
+def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry], min_games: int,
+                 resamples: int, seed: int, exclude: Sequence[str], precision: str
+                 ) -> Tuple[Dict[str, str], int]:
+    """Compare two books over a suite and correlate M with JSD: the report's
+    files by name (``render_files``), values at ``precision`` places or
+    ``full``, and the number of undefined cells in its comparison rows.
 
     The books need to hold only the suite's positions (``load_book`` with
-    ``keys``); their ``games`` and ``source`` go into the metadata.
+    ``keys``); their ``games`` and ``source`` go into the notes.
     """
     comparison_rows = []
     expected_rows = []
@@ -80,32 +68,27 @@ def build_report(book1: Book, book2: Book, suite: Sequence[SuiteEntry],
 
     defined = [row for row in comparison_rows
                if row.m_measure is not None and row.jsd is not None]
-    correlation_full = _correlate("full", defined, resamples, seed)
-    correlation_excluded = None
+    correlation = [_pearson_note("full", defined, resamples, seed, precision)]
     if exclude:
         excluded = set(exclude)
-        correlation_excluded = _correlate(
+        correlation.append(_pearson_note(
             "excluded", [row for row in defined if row.position_id not in excluded],
-            resamples, seed)
+            resamples, seed, precision))
 
     undefined_cells = sum(value is None for row in comparison_rows for value in row[1:])
-    metadata = {
-        "book1": book1.source or "book1",
-        "book2": book2.source or "book2",
-        "book1_games": str(book1.games),
-        "book2_games": str(book2.games),
-        "min_games": str(min_games),
-        "resamples": str(resamples),
-        "seed": str(seed),
-        "exclude": ",".join(exclude),
-        "rng": stats.RNG_ALGORITHM,
-        "std": stats.STD_CONVENTION,
-        "undefined_cells": str(undefined_cells),
-    }
-    return ReportDocument(comparison_rows, expected_rows,
-                          stats.summarize(comparison_rows, ComparisonRow._fields[1:]),
-                          stats.summarize(expected_rows, ("score1", "score2")),
-                          correlation_full, correlation_excluded, metadata)
+    notes = ["openbook-report v1",
+             f"book1={book1.source or 'book1'}", f"book2={book2.source or 'book2'}",
+             f"book1_games={book1.games}", f"book2_games={book2.games}",
+             f"min_games={min_games}", f"resamples={resamples}", f"seed={seed}",
+             f"exclude={','.join(exclude)}",
+             f"rng={stats.RNG_ALGORITHM}", f"std={stats.STD_CONVENTION}",
+             f"undefined_cells={undefined_cells}"]
+    comparison = _cells(COMPARISON_HEADER, ComparisonRow._fields, 1, comparison_rows,
+                        stats.summarize(comparison_rows, ComparisonRow._fields[1:]), precision)
+    expected = _cells("pos\tside\tew1\tgames1\tew2\tgames2", ExpectedScoreRow._fields, 2,
+                      expected_rows, stats.summarize(expected_rows, ("score1", "score2")),
+                      precision)
+    return render_files(notes, correlation, comparison, expected), undefined_cells
 
 
 def _fmt(value: Optional[float], precision: str) -> str:
@@ -116,22 +99,6 @@ def _fmt(value: Optional[float], precision: str) -> str:
     if precision == "full":
         return repr(float(value))
     return f"{value:.{int(precision)}f}"
-
-
-def _correlation_notes(doc: ReportDocument, precision: str) -> List[str]:
-    notes = []
-    for block in (doc.correlation_full, doc.correlation_excluded):
-        if block is None:
-            continue
-        # an undefined pearson has no CI, so its note ends with the reason
-        text = f"pearson_{block.label}={_fmt(block.pearson, precision)} n={block.n}"
-        if block.ci is not None:
-            lower, upper = block.ci
-            text += f" ci95=[{_fmt(lower, precision)},{_fmt(upper, precision)}]"
-        else:
-            text += f" note={block.note}"
-        notes.append(text)
-    return notes
 
 
 def _cells(header: str, fields: Sequence[str], lead: int, rows: Sequence[tuple],
@@ -173,19 +140,13 @@ def _markdown(table: list, notes: Sequence[str]) -> List[str]:
     return lines
 
 
-def render_files(doc: ReportDocument, precision: str = "3") -> Dict[str, str]:
+def render_files(notes: List[str], correlation: List[str], comparison: list,
+                 expected: list) -> Dict[str, str]:
     """The report's files by name, in the order to write them: comparison.tsv,
-    expected_score.tsv and report.md.
-
-    Each table's cells are formatted once. A TSV file is its notes, as ``# ``
-    lines, around its table; report.md lays out the same cells and notes.
-    """
-    notes = ["openbook-report v1", *(f"{key}={value}" for key, value in doc.metadata.items())]
-    correlation = _correlation_notes(doc, precision)
-    comparison = _cells(COMPARISON_HEADER, ComparisonRow._fields, 1, doc.comparison_rows,
-                        doc.comparison_summary, precision)
-    expected = _cells("pos\tside\tew1\tgames1\tew2\tgames2", ExpectedScoreRow._fields, 2,
-                      doc.expected_rows, doc.expected_summary, precision)
+    expected_score.tsv and report.md, laid out from the two tables' cells
+    (``_cells``). A TSV file is its table after ``notes``, as ``# `` lines,
+    and comparison.tsv ends with the ``correlation`` notes; report.md lays
+    out the same cells and notes."""
     markdown = ["# Opening book comparison", "", "## Per-position measures", "",
                 *_markdown(comparison, notes + correlation),
                 "", "## Expected percentage score", "", *_markdown(expected, notes)]
@@ -198,9 +159,9 @@ def parse_comparison_tsv(path: str) -> List[ComparisonRow]:
     """Read back the rows of the comparison TSV at ``path``, UTF-8 text.
 
     Its ``# `` lines are notes for readers and are skipped, and so are the
-    summary rows (Avg/Std). A header other than ``COMPARISON_HEADER``, or a
-    value that is not finite, which the renderer never writes, is a
-    ValueError.
+    summary rows (Avg/Std). No header, a header other than
+    ``COMPARISON_HEADER``, or a value that is not finite, which the renderer
+    never writes, is a ValueError.
     """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
@@ -225,4 +186,6 @@ def parse_comparison_tsv(path: str) -> List[ComparisonRow]:
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"non-finite {column} in comparison TSV row: {line!r}")
         rows.append(ComparisonRow(cells[0], *values))
+    if not header_seen:
+        raise ValueError("no comparison TSV header")
     return rows

@@ -10,7 +10,7 @@ the one row that takes each pair once, ``bootstrap_ci``'s on resample rows.
 Bootstrap resampling uses numpy's PCG64 generator seeded explicitly, so a
 (seed, resamples) pair maps to one exact result. Standard deviations are
 sample (n − 1) throughout; ``report.build_report`` records both conventions
-in the report metadata. numpy is imported by the functions that use
+in the report's notes. numpy is imported by the functions that use
 it, so importing this module (and the CLI, for ``build``) does not load it.
 """
 

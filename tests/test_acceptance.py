@@ -302,8 +302,8 @@ def test_criterion_6_end_to_end_fixture_run(tmp_path, pb_mini_path,
     out_a = str(tmp_path / "a")
     out_b = str(tmp_path / "b")
     try:
-        games1 = [g for g in parse_pgn_stream(pb_mini_path)]
-        games2 = [g for g in parse_pgn_stream(comp_mini_path)]
+        games1 = [g for g in parse_pgn_stream(pb_mini_path, 0)]
+        games2 = [g for g in parse_pgn_stream(comp_mini_path, 0)]
         assert len(games1) <= 50 and len(games2) <= 50
         assert main(["build", "--pgn", pb_mini_path, "--depth", "4",
                      "--out", book1, "--source", "pb-mini"]) == 0

@@ -79,7 +79,7 @@ BOOK_BYTES = st.one_of(
 @example(b'[FEN "4k3/8/8/8/8/8/8/4K\xc2\xb21 w - - 0 1"]\n\n1. Kd2 1-0\n')
 @given(_chunks(PGN_PIECES, 40))
 def test_pgn_stream_yields_only_records_and_reports(data):
-    for item in parse_pgn_stream(written(data)):
+    for item in parse_pgn_stream(written(data), 0):
         assert isinstance(item, (GameRecord, MalformedGame))
 
 

@@ -31,7 +31,7 @@ SIMPLE = """\
 
 
 def parse(text):
-    return list(parse_pgn_stream(written(text)))
+    return list(parse_pgn_stream(written(text), 0))
 
 
 def test_single_game():
@@ -97,7 +97,7 @@ def test_result_from_tag_when_marker_missing():
 
 def test_latin1_fallback_in_tags():
     raw = '[White "K\xe4rner"]\n[Result "*"]\n\n1. e4 *\n'.encode("latin-1")
-    games = list(parse_pgn_stream(written(raw)))
+    games = list(parse_pgn_stream(written(raw), 0))
     assert games[0].tags["White"] == "K\xe4rner"
 
 
@@ -111,7 +111,7 @@ def test_byte_order_mark_starts_no_game(line_end):
     """A UTF-8 byte-order mark, which Windows tools write, is dropped from
     the start of a file, whatever its line ends: the first tag stays a tag."""
     data = codecs.BOM_UTF8 + SIMPLE.replace("\n", line_end).encode()
-    assert list(parse_pgn_stream(written(data))) == parse(SIMPLE)
+    assert list(parse_pgn_stream(written(data), 0)) == parse(SIMPLE)
 
 
 LINE_PIECES = [b"\n", b"\r", b"\r\n", b"e4", b" ", b"\xe4", b"\xc3\xa4", codecs.BOM_UTF8]
@@ -135,7 +135,7 @@ def test_lines_end_at_lf_crlf_or_cr_wherever_a_block_ends(data, block):
 
 def test_byte_order_mark_dropped_before_the_latin1_fallback():
     raw = codecs.BOM_UTF8 + '[White "K\xe4rner"]\n[Result "*"]\n\n1. e4 *\n'.encode("latin-1")
-    games = list(parse_pgn_stream(written(raw)))
+    games = list(parse_pgn_stream(written(raw), 0))
     assert games[0].tags == {"White": "K\xe4rner", "Result": "*"}
 
 
@@ -177,7 +177,7 @@ def test_min_rating_filter():
             '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n\n'
             '[WhiteElo "2450"]\n[Result "0-1"]\n\n1. c4 0-1\n\n'
             '[WhiteElo "2450"]\n[BlackElo "2500"]\n[Result "*"]\n\n1. Nf3 *\n')
-    games = list(parse_pgn_stream(written(text), min_rating=2400))
+    games = list(parse_pgn_stream(written(text), 0, min_rating=2400))
     assert [g.plies for g in games] == [None, (), None, None]
     kept = list(filter_games(games))
     assert [g.moves for g in kept] == [("d4",)]
@@ -189,7 +189,7 @@ def test_min_rating_filter():
 def test_min_rating_needs_ascii_digits(elo):
     text = (f'[WhiteElo "{elo}"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n1. e4 1-0\n\n'
             '[WhiteElo "2400"]\n[BlackElo "2500"]\n[Result "0-1"]\n\n1. d4 0-1\n')
-    rated = parse_pgn_stream(written(text), min_rating=2400)
+    rated = parse_pgn_stream(written(text), 0, min_rating=2400)
     assert [g.moves for g in filter_games(rated)] == [("d4",)]
     assert len(list(filter_games(parse(text)))) == 2
 
@@ -197,7 +197,7 @@ def test_min_rating_needs_ascii_digits(elo):
 def test_games_replay_cleanly(pb_mini_path):
     from openbook import rules
 
-    games = list(parse_pgn_stream(pb_mini_path))
+    games = list(parse_pgn_stream(pb_mini_path, 0))
     assert all(isinstance(g, GameRecord) for g in games)
     assert len(games) == 49
     for game in games:
@@ -434,5 +434,5 @@ def test_line_by_line_stripping_matches_whole_movetext(lines):
     yields is the one stripping the joined movetext at once gives."""
     text = "\n".join(lines)
     kept = [line.strip() for line in text.split("\n") if line.strip()]
-    expected = [_finish_game({}, _reference_strip("\n".join(kept)), 1)] if kept else []
+    expected = [_finish_game({}, _reference_strip("\n".join(kept)), 1, 0)] if kept else []
     assert parse(text + "\n") == expected

@@ -217,7 +217,7 @@ class TestCliBuild:
                           + " ".join(tokens) + " { note ; } " + result + "\n")
         pgn = tmp_path / "games.pgn"
         pgn.write_text("\n".join(chunks))
-        parsed = list(parse_pgn_stream(str(pgn)))
+        parsed = list(parse_pgn_stream(str(pgn), 0))
         expected = sum(len(g.moves) if isinstance(g, GameRecord) else g.move_index + 1
                        for g in parsed)
         assert sum(isinstance(g, MalformedGame) for g in parsed) == 1
@@ -624,7 +624,7 @@ class TestCliCompare:
             text = handle.read()
         assert "pearson_full=undefined" in text
 
-    def test_partially_undefined_row_succeeds(self, built_books, tmp_path):
+    def test_partially_undefined_row_succeeds(self, built_books, tmp_path, capsys):
         suite_file = tmp_path / "suite.epd"
         suite_file.write_text(
             'rnbqkbnr/pppppppp/8/8/8/8/PPPPPPPP/RNBQKBNR w KQkq - id "26";\n'
@@ -639,6 +639,14 @@ class TestCliCompare:
         assert unbooked.m_measure is None and unbooked.jsd is None
         with open(tsv, encoding="utf-8", newline="") as handle:
             assert "# undefined_cells=4\n" in handle.read()
+        assert capsys.readouterr().out == f"report written to {out_dir}\nundefined cells: 4\n"
+
+    def test_fully_defined_run_prints_only_where_it_wrote(self, built_books, suite3_path,
+                                                          tmp_path, capsys):
+        out_dir = self.run_compare(built_books, suite3_path, tmp_path)
+        with open(os.path.join(out_dir, "comparison.tsv"), encoding="utf-8") as handle:
+            assert "# undefined_cells=0\n" in handle.read()
+        assert capsys.readouterr().out == f"report written to {out_dir}\n"
 
     # past 17 places a double prints only noise; a huge value broke the formatter
     @pytest.mark.parametrize("precision", ["abc", "-1", "2.5", "+3", "\u0663", "18",
@@ -912,6 +920,18 @@ class TestCliPlot:
                      "--out", str(tmp_path / "o.svg")]) == 2
         assert capsys.readouterr() == (
             "", f"openbook: bad report file {report_path}: bad comparison TSV header: {header!r}\n")
+        assert os.listdir(tmp_path) == ["report.tsv"]
+
+    # with no table header there is no table: a bad file, not a report without pairs
+    @pytest.mark.parametrize("text", ["", "# openbook-report v1\n# seed=0\n"],
+                             ids=["empty", "notes only"])
+    def test_report_without_header_is_data_error(self, text, tmp_path, capsys):
+        report_path = tmp_path / "report.tsv"
+        report_path.write_text(text)
+        assert main(["plot", "--report", str(report_path),
+                     "--out", str(tmp_path / "o.svg")]) == 2
+        assert capsys.readouterr() == (
+            "", f"openbook: bad report file {report_path}: no comparison TSV header\n")
         assert os.listdir(tmp_path) == ["report.tsv"]
 
     def test_plot_without_defined_pairs_is_data_error(self, tmp_path, capsys):
