@@ -133,7 +133,8 @@ def _movetext_tokens(text: str):
     null = False
     for token in text.split():
         if token[0] in _SAN_FIRST and not null:
-            tokens.append(token)
+            if token != "e.p.":  # an en-passant marker written as its own token
+                tokens.append(token)
             continue
         # a move number, where isdecimal takes the Unicode decimal digits, as
         # \d does; "0000" is a null move, not a move number
@@ -231,25 +232,25 @@ def _replay(fen: Optional[str], moves, game_index: int,
             max_depth: int) -> Union[Tuple[Tuple[str, str], ...], MalformedGame]:
     """Replay ``moves`` from the game's start position (its FEN tag's
     ``fen``, else the initial one), resolving and pushing each once on one
-    ``rules._Board``. Return the position key (before the push) and the
-    canonical SAN (after it) of each of the first ``max_depth`` plies, or
-    the MalformedGame that says where the replay failed."""
+    ``rules._Board``. One loop records the position key (before the push)
+    and the canonical SAN (after it) of each of the first ``max_depth``
+    plies; a second only resolves and pushes the rest. Return the recorded
+    plies, or the MalformedGame that says at which move the replay failed."""
     try:
         board = rules._Board(rules.parse_fen(fen) if fen else _INITIAL_POSITION)
     except rules.FenError as exc:
         return MalformedGame(game_index, f"bad FEN tag: {exc}")
     plies = []
-    for index, token in enumerate(moves):
-        try:
+    try:
+        for index, token in enumerate(moves[:max_depth]):
             move, pool = rules._resolve(board, token)
-        except rules.IllegalMoveError as exc:
-            return MalformedGame(game_index, str(exc), move_index=index)
-        if index < max_depth:
             key = board.key()
             board.push(move)
             plies.append((key, rules._san(move, pool, board)))
-        else:
-            board.push(move)
+        for index, token in enumerate(moves[max_depth:], max_depth):
+            board.push(rules._resolve(board, token)[0])
+    except rules.IllegalMoveError as exc:
+        return MalformedGame(game_index, str(exc), move_index=index)
     return tuple(plies)
 
 

@@ -8,7 +8,9 @@ mutable ``_Board``: ``_Board.push`` makes a move in place and keeps the
 board's check flag and the FEN text of its ranks current, the SAN resolvers
 and the mate test read the live board, ``_Board.key`` renders its position
 key (the one renderer: ``position_key`` builds a board to call it), and
-``_Board.position`` freezes it into a Position.
+``_Board.position`` freezes it into a Position. One legality rule,
+``_keep_legal``, filters the pseudo-legal moves of ``legal_moves`` and the
+SAN candidates of ``_origins`` alike.
 
 Each rule's geometry is stated once, in a table built at import:
 ``_PIECE_RAYS`` holds the rays each piece walks from each square, for move
@@ -259,7 +261,8 @@ class _Board:
 
         # the opponent was not in check, so a check now comes from the piece
         # that arrived or from a line through a square the move emptied; a
-        # castling rook leaves a corner, which lies between no two squares
+        # castling rook leaves a corner, which lies between no two squares; a
+        # zero ``_LINE_STEP`` puts the emptied square on no line of the king
         king_sq = self.kings[1] if white else self.kings[0]
         d = king_sq - checker + 119
         check = False
@@ -272,7 +275,8 @@ class _Board:
                 check = s == king_sq
             else:
                 check = True  # a knight
-        self.check = (check or _attacks_through(board, king_sq, f, white) or en_passant
+        self.check = (check or _LINE_STEP[f - king_sq + 119]
+                      and _attacks_through(board, king_sq, f, white) or en_passant
                       and _attacks_through(board, king_sq, t + (-16 if white else 16), white))
 
         rights = self.castling
@@ -405,28 +409,28 @@ def _leaves_king_safe(board: list, m: Move, white: bool, king_sq: int) -> bool:
     return ok
 
 
-def _legal(board: list, m: Move, white: bool, king_sq: int, in_check: bool) -> bool:
-    """Whether the pseudo-legal move ``m`` leaves the own king on ``king_sq``
-    safe. A king move, en passant or a move out of check is made and unmade;
-    any other move is unsafe only if it takes a pinned piece off the line
-    through the king."""
-    f = m.from_sq
-    if in_check or f == king_sq or m.en_passant:
-        return _leaves_king_safe(board, m, white, king_sq)
-    step = _LINE_STEP[f - king_sq + 119]
-    return (not step or _LINE_STEP[m.to_sq - king_sq + 119] == step
-            or not _attacks_through(board, king_sq, f, not white))
+def _keep_legal(board: list, moves, white: bool, king_sq: int, in_check: bool) -> list:
+    """The pseudo-legal ``moves`` that leave the own king on ``king_sq`` safe,
+    in their order: the one legality rule. A king move, en passant or a move
+    out of check is made and unmade; any other move is unsafe only if it
+    takes a pinned piece off the line through the king."""
+    out = []
+    for m in moves:
+        f = m.from_sq
+        if (_leaves_king_safe(board, m, white, king_sq)
+                if in_check or f == king_sq or m.en_passant
+                else not (step := _LINE_STEP[f - king_sq + 119])
+                or _LINE_STEP[m.to_sq - king_sq + 119] == step
+                or not _attacks_through(board, king_sq, f, not white)):
+            out.append(m)
+    return out
 
 
 def legal_moves(p: Position) -> list:
     """All legal moves in ``p`` under FIDE rules."""
     b = _Board(p)
-    board = b.squares
-    white = b.white
-    king_sq = b.kings[0] if white else b.kings[1]
-    in_check = b.in_check()
-    out = [m for m in _pseudo_moves(b) if _legal(board, m, white, king_sq, in_check)]
-    return out + _castles(b)
+    king_sq = b.kings[0] if b.white else b.kings[1]
+    return _keep_legal(b.squares, _pseudo_moves(b), b.white, king_sq, b.in_check()) + _castles(b)
 
 
 def _has_legal_move(b: _Board) -> bool:
@@ -568,7 +572,8 @@ SAN_TOKEN_CACHE_SIZE = 4096  # distinct token texts whose parse _parse_token kee
 @functools.lru_cache(maxsize=SAN_TOKEN_CACHE_SIZE)
 def _parse_token(text: str):
     """The parts of a SAN token, ``(piece, from_file, from_rank, to_sq, promo,
-    castle)``, or the head of the error message if it names no move."""
+    castle)`` with the source file and rank as 0-7 or None, or the head of
+    the error message if it names no move."""
     token = text.strip().replace("e.p.", "").replace("(ep)", "").rstrip("+#!?")
     if not token:
         return "empty SAN token"
@@ -578,7 +583,8 @@ def _parse_token(text: str):
     if not match:
         return "unparsable SAN"
     piece, from_file, from_rank, _, to_name, promo = match.groups()
-    return piece or "P", from_file, from_rank, parse_square(to_name), promo, None
+    return (piece or "P", from_file and FILES.index(from_file), from_rank and int(from_rank) - 1,
+            parse_square(to_name), promo, None)
 
 
 def _origins(b: _Board, piece: str, to_sq: int, promo: Optional[str]) -> list:
@@ -586,8 +592,8 @@ def _origins(b: _Board, piece: str, to_sq: int, promo: Optional[str]) -> list:
     on the live board ``b``, which is left as it was.
 
     Candidates are worked back from the target (pawn moves behind it, knight
-    and king offsets, slider rays cast out from it), and only they are tested
-    for king safety: the from/to-square filtering of python-chess's
+    and king offsets, slider rays cast out from it), and only they go
+    through ``_keep_legal``: the from/to-square filtering of python-chess's
     ``Board.parse_san`` (https://github.com/niklasf/python-chess).
     """
     board = b.squares
@@ -605,33 +611,32 @@ def _origins(b: _Board, piece: str, to_sq: int, promo: Optional[str]) -> list:
         if capture or to_sq == b.ep:
             for s in (to_sq + back - 1, to_sq + back + 1):
                 if not s & 0x88 and board[s] == own:
-                    moves.append(Move(s, to_sq, promo, capture=True, en_passant=not capture))
+                    moves.append(tuple.__new__(Move, (s, to_sq, promo, True, not capture, None)))
         if not capture:
             s = to_sq + back
             if not s & 0x88 and board[s] == own:
-                moves.append(Move(s, to_sq, promo))
+                moves.append(tuple.__new__(Move, (s, to_sq, promo, False, False, None)))
             elif (to_sq >> 4 == (3 if white else 4) and board[s] is None
                   and board[s + back] == own):
-                moves.append(Move(s + back, to_sq))
+                moves.append(tuple.__new__(Move, (s + back, to_sq, None, False, False, None)))
     else:
         for ray in _PIECE_RAYS[piece][to_sq]:
             for s in ray:
                 pc = board[s]
                 if pc is not None:
                     if pc == own:
-                        moves.append(Move(s, to_sq, None, capture))
+                        moves.append(tuple.__new__(Move, (s, to_sq, None, capture, False, None)))
                     break
     if not moves:
         return moves
-    king_sq = b.kings[0] if white else b.kings[1]
-    in_check = b.in_check()
-    return [m for m in moves if _legal(board, m, white, king_sq, in_check)]
+    return _keep_legal(board, moves, white, b.kings[0] if white else b.kings[1], b.in_check())
 
 
 def _resolve(b: _Board, text: str):
     """The unique legal move a SAN token names on the live board ``b``, and
     the legal moves of its piece type onto its target square (all castling
-    moves for O-O/O-O-O)."""
+    moves for O-O/O-O-O), which ``_origins`` and so ``_keep_legal`` decide;
+    the token's source file and rank then pick among them."""
     parsed = _parse_token(text)
     if isinstance(parsed, str):
         raise IllegalMoveError(f"{parsed} {text!r} in {emit_fen(b.position())}")
@@ -641,15 +646,15 @@ def _resolve(b: _Board, text: str):
         candidates = [m for m in pool if m.castle == castle]
     else:
         pool = _origins(b, piece, to_sq, promo)
-        # a piece token naming no source file or rank fits every pool move
-        if piece != "P" and from_file is None and from_rank is None:
-            candidates = pool
+        # a token naming no source file or rank fits every pool move, but
+        # pawn captures always carry the source file in SAN
+        if from_file is None and from_rank is None:
+            candidates = pool if piece != "P" else [m for m in pool if not m.capture]
         else:
-            # pawn captures always carry the source file in SAN
             candidates = [m for m in pool
-                          if (from_file or piece != "P" or not m.capture)
-                          and from_file in (None, FILES[m.from_sq & 7])
-                          and from_rank in (None, str((m.from_sq >> 4) + 1))]
+                          if (from_file is not None or piece != "P" or not m.capture)
+                          and from_file in (None, m.from_sq & 7)
+                          and from_rank in (None, m.from_sq >> 4)]
     if not candidates:
         raise IllegalMoveError(f"illegal SAN {text!r} in {emit_fen(b.position())}")
     if len(candidates) > 1:

@@ -61,6 +61,40 @@ def test_illegal_move_reported_with_index_and_fen():
                              "rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w KQkq - 0 2")
 
 
+# one loop of the replay records the first max_depth plies and a second only
+# pushes the rest; 2 puts the failing token first in the second loop, 3 last
+# in the first
+@pytest.mark.parametrize("max_depth", [0, 1, 2, 3, 10])
+@pytest.mark.parametrize("white_elo", ["2500", "1500"])
+def test_illegal_move_reported_alike_within_and_past_the_depth(max_depth, white_elo):
+    """An illegal move is reported with the same index and reason whether
+    it lies within the recorded plies, past them, or in a game that the
+    rating filter keeps out of the book."""
+    text = (f'[WhiteElo "{white_elo}"]\n[BlackElo "2500"]\n[Result "1-0"]\n\n'
+            '1. e4 e5 2. Ke3 Nf6 1-0')
+    games = list(parse_pgn_stream(written(text), max_depth, min_rating=2000))
+    assert games == [MalformedGame(
+        1, "illegal SAN 'Ke3' in rnbqkbnr/pppp1ppp/8/4p3/4P3/8/PPPP1PPP/RNBQKBNR w KQkq - 0 2",
+        move_index=2)]
+
+
+def test_en_passant_marker_attached_or_as_its_own_token(tmp_path, capsys):
+    """An "e.p." marker attached to the capture or written as its own token,
+    and a "(ep)" aside, build byte-identical books of the one game."""
+    books = []
+    for index, capture in enumerate(("exf6e.p.", "exf6 e.p.", "exf6 (ep)")):
+        directory = tmp_path / str(index)
+        directory.mkdir()
+        (directory / "ep.pgn").write_text(
+            f'[Result "1-0"]\n\n1. e4 d5 2. e5 f5 3. {capture} Nxf6 1-0\n', encoding="utf-8")
+        assert main(["build", "--pgn", str(directory / "ep.pgn"),
+                     "--out", str(directory / "ep.book"), "--depth", "10"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and "games=1 positions=6 depth=10" in out, (capture, out, err)
+        books.append((directory / "ep.book").read_bytes())
+    assert books[0] == books[1] == books[2]
+
+
 def test_null_move_truncates_but_keeps_prefix():
     games = parse('[Result "1/2-1/2"]\n\n1. e4 e5 2. -- Nf6 1/2-1/2')
     game = games[0]

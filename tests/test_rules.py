@@ -568,6 +568,26 @@ def brute_force_legal(p):
     return out + [m for m in legal_moves(p) if m.castle]
 
 
+def _origins_by_target(b, moves):
+    """For each piece type, target square and promotion, what ``_origins``
+    gives on ``b`` and what ``moves`` hold, as two dicts of sets."""
+    last_rank = 7 if b.white else 0
+    expected = {}
+    for m in moves:
+        if not m.castle:
+            piece = b.squares[m.from_sq].upper()
+            expected.setdefault((piece, m.to_sq, m.promotion), set()).add(m)
+    found = {}
+    for piece in "PNBRQK":
+        for to_sq in rules.SQUARES:
+            promotes = piece == "P" and to_sq >> 4 == last_rank
+            for promo in ("Q", "R", "B", "N") if promotes else (None,):
+                origins = set(rules._origins(b, piece, to_sq, promo))
+                if origins:
+                    found[piece, to_sq, promo] = origins
+    return found, expected
+
+
 @pytest.mark.parametrize("fen", PIN_POSITIONS)
 def test_resolver_matches_brute_force_on_pins(fen):
     """legal_moves, and _origins for each piece type and target square, give
@@ -582,16 +602,8 @@ def test_resolver_matches_brute_force_on_pins(fen):
         moves = brute_force_legal(p)
         assert set(legal_moves(p)) == set(moves), emit_fen(p)
         b = rules._Board(p)
-        last_rank = 7 if p.turn == rules.WHITE else 0
-        for piece in "PNBRQK":
-            for to_sq in rules.SQUARES:
-                promotes = piece == "P" and to_sq >> 4 == last_rank
-                promos = ("Q", "R", "B", "N") if promotes else (None,)
-                for promo in promos:
-                    expected = {m for m in moves if not m.castle and m.to_sq == to_sq
-                                and p.board[m.from_sq].upper() == piece and m.promotion == promo}
-                    assert set(rules._origins(b, piece, to_sq, promo)) == expected, (
-                        emit_fen(p), piece, rules.square_name(to_sq), promo)
+        found, expected = _origins_by_target(b, moves)
+        assert found == expected, emit_fen(p)
         assert b.position() == p
         named = [(m, p.board[m.from_sq].upper(), rules.square_name(m.from_sq),
                   rules.square_name(m.to_sq)) for m in moves]
@@ -602,6 +614,50 @@ def test_resolver_matches_brute_force_on_pins(fen):
             break
         p = rules._apply(p, rng.choice(moves))
 
+
+def test_one_legality_filter_matches_brute_force_along_walks():
+    """Along seeded random walks from the start and the perft positions,
+    ``legal_moves`` and ``_origins``, which share the one legality filter
+    ``_keep_legal``, give exactly the moves a make-and-test brute force
+    finds, for every piece type and target square."""
+    rng = random.Random(2906)
+    fens = [rules.START_FEN] + [fen for fen, _ in TRICKY]
+    for game in range(8):
+        p = parse_fen(fens[game % len(fens)])
+        for _ in range(40):
+            moves = brute_force_legal(p)
+            assert set(legal_moves(p)) == set(moves), emit_fen(p)
+            b = rules._Board(p)
+            found, expected = _origins_by_target(b, moves)
+            assert found == expected, emit_fen(p)
+            assert b.position() == p
+            if not moves:
+                break
+            p = rules._apply(p, rng.choice(moves))
+
+
+def test_moves_are_plain_move_values():
+    """The moves that legal_moves and the SAN resolver give are Move
+    values that compare and hash as the same move built by ``Move(...)``:
+    the resolver builds its candidates with ``tuple.__new__``."""
+    rng = random.Random(2907)
+    for fen in [rules.START_FEN] + [fen for fen, _ in TRICKY] + PIN_POSITIONS:
+        p = parse_fen(fen)
+        for _ in range(12):
+            moves = legal_moves(p)
+            if not moves:
+                break
+            for m in moves:
+                resolved, pool = rules._resolve(rules._Board(p), emit_san(p, m))
+                assert resolved == m
+                for value in [m, resolved] + pool:
+                    built = Move(value.from_sq, value.to_sq, promotion=value.promotion,
+                                 capture=value.capture, en_passant=value.en_passant,
+                                 castle=value.castle)
+                    assert type(value) is Move
+                    assert value == built and hash(value) == hash(built)
+                    assert [type(field) for field in value] == [type(field) for field in built]
+            p = rules._apply(p, rng.choice(moves))
 
 def oracle_attacked(p, sq, by_white):
     """Brute force: with a dummy enemy knight on ``sq``, does some
