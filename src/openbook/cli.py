@@ -8,12 +8,13 @@ every file a command reads, and ``_write`` of every file it writes.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import List, Optional
 
 from . import book as book_mod
-from . import plot, report, rules
+from . import report, rules
 from .pgn import MalformedGame, filter_games, parse_pgn_stream
 from .suite import parse_epd_suite
 
@@ -158,6 +159,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
+    from . import plot
     rows = _read("report", args.report, report.parse_comparison_tsv)
     # scatter_svg draws only rows with both values, so a mark on any other is lost
     marked = _listed_ids(args.mark, "--mark",
@@ -232,5 +234,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_DATA
 
 
+def run() -> None:
+    """``main()`` as a process: ``openbook`` and ``python -m openbook.cli``."""
+    code = main()
+    # exit frees every object anyway: spare the shutdown collections' rescans of them
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

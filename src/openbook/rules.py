@@ -349,12 +349,12 @@ def _pseudo_moves(b: _Board):
             if not t & 0x88 and board[t] is None:
                 if t >> 4 == promo_rank:
                     for promo in "QRBN":
-                        yield Move(s, t, promotion=promo)
+                        yield tuple.__new__(Move, (s, t, promo, False, False, None))
                 else:
-                    yield Move(s, t)
+                    yield tuple.__new__(Move, (s, t, None, False, False, None))
                     t2 = t + fwd
                     if s >> 4 == start_rank and board[t2] is None:
-                        yield Move(s, t2)
+                        yield tuple.__new__(Move, (s, t2, None, False, False, None))
             for d in (fwd - 1, fwd + 1):
                 t = s + d
                 if t & 0x88:
@@ -363,20 +363,20 @@ def _pseudo_moves(b: _Board):
                 if target is not None and target.isupper() != white:
                     if t >> 4 == promo_rank:
                         for promo in "QRBN":
-                            yield Move(s, t, promotion=promo, capture=True)
+                            yield tuple.__new__(Move, (s, t, promo, True, False, None))
                     else:
-                        yield Move(s, t, capture=True)
+                        yield tuple.__new__(Move, (s, t, None, True, False, None))
                 elif target is None and ep == t:
-                    yield Move(s, t, capture=True, en_passant=True)
+                    yield tuple.__new__(Move, (s, t, None, True, True, None))
         else:
             for ray in _PIECE_RAYS[kind][s]:
                 for t in ray:
                     target = board[t]
                     if target is None:
-                        yield Move(s, t)
+                        yield tuple.__new__(Move, (s, t, None, False, False, None))
                     else:
                         if target.isupper() != white:
-                            yield Move(s, t, capture=True)
+                            yield tuple.__new__(Move, (s, t, None, True, False, None))
                         break
 
 

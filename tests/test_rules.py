@@ -639,7 +639,7 @@ def test_one_legality_filter_matches_brute_force_along_walks():
 def test_moves_are_plain_move_values():
     """The moves that legal_moves and the SAN resolver give are Move
     values that compare and hash as the same move built by ``Move(...)``:
-    the resolver builds its candidates with ``tuple.__new__``."""
+    both build their candidates with ``tuple.__new__``."""
     rng = random.Random(2907)
     for fen in [rules.START_FEN] + [fen for fen, _ in TRICKY] + PIN_POSITIONS:
         p = parse_fen(fen)

@@ -1,5 +1,6 @@
 import codecs
 import errno
+import gc
 import hashlib
 import os
 import random
@@ -1002,10 +1003,12 @@ TRACED_LAYERS = ("pgn", "rules", "book", "suite", "measures", "stats", "report",
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    """``build`` never needs numpy, and no command needs dataclasses or
-    fractions; the CLI's import still loads every layer module."""
+    """``build`` never needs numpy, no command needs dataclasses or
+    fractions, and only ``plot`` imports its module; the CLI's import still
+    loads every layer module."""
     out = run_fresh("import sys, openbook.cli\n"
-                    "print(*[m for m in ('dataclasses', 'fractions', 'numpy') if m in sys.modules])\n"
+                    "print(*[m for m in ('dataclasses', 'fractions', 'numpy', 'openbook.plot')\n"
+                    "        if m in sys.modules])\n"
                     f"print(*[n for n in {TRACED_LAYERS!r} if 'openbook.' + n not in sys.modules])")
     assert out == "\n\n"
 
@@ -1027,3 +1030,64 @@ def test_compare_leaves_numpy_ma_unloaded(built_books, suite3_path, tmp_path):
                     f"code = main({argv!r})\n"
                     "print(code, 'numpy' in sys.modules, 'numpy.ma' in sys.modules)")
     assert out.split()[-3:] == ["0", "True", "False"]
+
+
+def _main_in_process(argv, capsys):
+    """main()'s exit code, stdout and stderr, with argparse's exit as a code."""
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out.encode(), err.encode()
+
+
+def _files_under(root) -> dict:
+    return {path.relative_to(root): path.read_bytes()
+            for path in root.rglob("*") if path.is_file()}
+
+
+def test_process_entry_matches_in_process_main(pb_mini_path, comp_mini_path, suite3_path,
+                                               tmp_path, monkeypatch, capsys):
+    """``python -m openbook.cli`` exits with main()'s code and writes the
+    same stdout, stderr and files, byte for byte, for every command and
+    exit code; main() itself leaves the heap unfrozen."""
+    in_process, fresh = tmp_path / "main", tmp_path / "process"
+    in_process.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(in_process)
+    # argparse wraps its usage line to the terminal's width
+    monkeypatch.setenv("COLUMNS", "80")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(openbook.__file__)))
+    steps = [
+        (0, ["build", "--pgn", pb_mini_path, "--depth", "4", "--out", "pb.book"]),
+        (0, ["build", "--pgn", comp_mini_path, "--depth", "4", "--out", "comp.book"]),
+        (0, ["query", "--book", "pb.book", "--fen", rules.START_FEN]),
+        (0, ["compare", "--book1", "pb.book", "--book2", "comp.book", "--suite", suite3_path,
+             "--min-games", "1", "--bootstrap", "1000", "--out", "report"]),
+        (0, ["plot", "--report", os.path.join("report", "comparison.tsv"),
+             "--out", "scatter.svg"]),
+        (1, ["build", "--out", "none.book"]),
+        (2, ["query", "--book", "missing.book", "--fen", rules.START_FEN]),
+    ]
+    for code, argv in steps:
+        expected = _main_in_process(argv, capsys)
+        assert expected[0] == code, argv
+        assert gc.get_freeze_count() == 0
+        proc = subprocess.run([sys.executable, "-m", "openbook.cli"] + argv,
+                              capture_output=True, cwd=fresh, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected, argv
+        assert _files_under(fresh) == _files_under(in_process), argv
+
+
+def test_process_entry_freezes_the_heap_before_exit(built_books):
+    """The process entry freezes the heap after main() returns, so the
+    shutdown collections skip it; an ``atexit`` hook runs after that."""
+    argv = ["query", "--book", built_books[0], "--fen", rules.START_FEN]
+    out = run_fresh("import atexit, gc, runpy, sys\n"
+                    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                    f"sys.argv[1:] = {argv!r}\n"
+                    "runpy.run_module('openbook.cli', run_name='__main__')\n")
+    assert out.startswith("rank\tsan\tgames\tscore%\n")
+    assert out.endswith("frozen True\n")
