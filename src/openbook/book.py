@@ -234,8 +234,9 @@ def load_book(path: str, keys=None) -> Book:
     checksum_line = lines[-1]
     if not checksum_line.startswith("sha256 "):
         raise BookFormatError(f"line {len(lines)}: missing checksum line")
-    end = len(text) - len(checksum_line) - (1 if text.endswith("\n") else 0)
-    digest = hashlib.sha256(text[:end].encode("utf-8")).hexdigest()
+    # the bytes read, before the checksum line, so that no copy of the file is made
+    end = len(raw) - len(checksum_line.encode("utf-8")) - (1 if text.endswith("\n") else 0)
+    digest = hashlib.sha256(memoryview(raw)[:end]).hexdigest()
     if checksum_line != f"sha256 {digest}":
         raise BookFormatError(f"line {len(lines)}: checksum mismatch")
     if not text.endswith("\n"):
@@ -247,7 +248,8 @@ def load_book(path: str, keys=None) -> Book:
         raise BookFormatError(f"line 2: bad meta line {lines[1]!r}")
     start = len(lines[0]) + len(lines[1]) + 2
     # keys, SANs and counts are ASCII; only the source may be other text
-    if not text[start:].isascii():
+    # (text.isascii() is O(1), so an ASCII book is not sliced to check it)
+    if not text.isascii() and not text[start:].isascii():
         raise BookFormatError("non-ASCII text after line 2")
     source_text, games, position_count, depth = meta.groups()
     if not _one_line(source_text):

@@ -1,6 +1,7 @@
 """Streaming PGN ingestion.
 
-Parses a PGN file into game records, keeping only the mainline. Comments,
+Parses a PGN file into game records, keeping only the mainline; its lines
+come from Python's text layer, with no block reading here. Comments,
 NAGs and recursive variations are dropped, in one strip of each game's
 movetext: a regex pass if it holds only brace comments, else a jump scan.
 Each game is replayed once, on one mutable ``rules._Board``, as it is
@@ -12,7 +13,6 @@ are reported and skipped instead of aborting the stream.
 
 from __future__ import annotations
 
-import codecs
 import re
 from typing import Iterable, Iterator, NamedTuple, Optional, Tuple, Union
 
@@ -26,7 +26,6 @@ _GLUED_NUMBER_RE = re.compile(r"^\d+\.+")
 _MOVETEXT_SPECIAL_RE = re.compile(r"[{}();]")
 _BRACE_COMMENT_RE = re.compile(r"\{[^}]*(?:\}|\Z)")
 _SAN_FIRST = frozenset("abcdefghNBRQKO")  # which start no result, number, NAG or null move
-_BLOCK = 1 << 16  # bytes that _lines reads at a time
 
 
 class GameRecord(NamedTuple):
@@ -54,26 +53,22 @@ class MalformedGame(NamedTuple):
 
 
 def _lines(path: str) -> Iterator[str]:
-    """The lines of the PGN file at ``path`` as text, each decoded as UTF-8,
-    or as Latin-1 if it is not UTF-8, less a byte-order mark at the file's
-    start. A line ends at LF, CRLF or CR. The file is read a block at a time."""
-    with open(path, "rb") as handle:
-        data = handle.read(len(codecs.BOM_UTF8)).removeprefix(codecs.BOM_UTF8)
-        while True:
-            # a block at least as long as the line begun, so that a line of
-            # any length is split in linear time
-            block = handle.read(max(_BLOCK, len(data)))
-            lines = (data + block).splitlines(True)
-            # the last line may go on in the next block, if only by a CRLF's LF
-            data = lines.pop() if block else b""
-            for raw in lines:
+    """The lines of the PGN file at ``path``, as Python's text layer reads
+    them: a line ends at LF, CRLF or CR, each line end is read as LF, and a
+    byte-order mark at the file's start is dropped. A line is UTF-8 text,
+    or, if it holds a byte that is not UTF-8, Latin-1 text of its bytes."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        # the mark is dropped here: utf-8-sig reads a file of its first byte or two as empty
+        line = handle.readline().removeprefix("\ufeff")
+        while line:
+            # valid UTF-8 decodes to no surrogate, so one stands for a byte that is not
+            if not line.isascii():
                 try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError:
-                    line = raw.decode("latin-1")
-                yield line
-            if not block:
-                return
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    line = line.encode("utf-8", "surrogateescape").decode("latin-1")
+            yield line
+            line = handle.readline()
 
 
 def _strip_movetext(text: str, out: list, in_brace: bool = False, depth: int = 0):
@@ -159,8 +154,9 @@ def parse_pgn_stream(path: str, max_depth: int, min_rating: Optional[int] = None
                      ) -> Iterator[Union[GameRecord, MalformedGame]]:
     """Yield games (or malformed-game reports) from the PGN file at ``path``.
 
-    Its lines may end in LF, CRLF or CR, and each is UTF-8 text, or Latin-1
-    if it is not (``_lines``). Parsing is single pass; memory is bounded per
+    Its lines come from Python's text layer, with no block reading here
+    (``_lines``): they may end in LF, CRLF or CR, and each is UTF-8 text, or
+    Latin-1 if it is not. Parsing is single pass; memory is bounded per
     game.
     A game's movetext is stripped when the game ends, in one call of
     _strip_movetext (its regex pass or its jump scan). A tag line after

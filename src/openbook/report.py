@@ -156,14 +156,15 @@ def render_files(notes: List[str], correlation: List[str], comparison: list,
 
 
 def parse_comparison_tsv(path: str) -> List[ComparisonRow]:
-    """Read back the rows of the comparison TSV at ``path``, UTF-8 text.
+    """Read back the rows of the comparison TSV at ``path``, UTF-8 text,
+    less a byte-order mark at its start.
 
     Its ``# `` lines are notes for readers and are skipped, and so are the
     summary rows (Avg/Std). No header, a header other than
     ``COMPARISON_HEADER``, or a value that is not finite, which the renderer
     never writes, is a ValueError.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         text = handle.read()
     rows: List[ComparisonRow] = []
     header_seen = False

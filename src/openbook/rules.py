@@ -474,7 +474,6 @@ def parse_fen(text: str) -> Position:
     ranks = placement.split("/")
     if len(ranks) != 8:
         raise FenError(f"placement needs 8 ranks: {placement!r}")
-    kings = {"K": 0, "k": 0}
     for i, rank_text in enumerate(ranks):
         rank = 7 - i
         file = 0
@@ -486,16 +485,15 @@ def parse_fen(text: str) -> Position:
                     raise FenError(f"rank overflow in placement: {rank_text!r}")
                 if ch in ("P", "p") and rank in (0, 7):
                     raise FenError(f"pawn on back rank: {placement!r}")
-                if ch in kings:
-                    kings[ch] += 1
                 board[16 * rank + file] = ch
                 file += 1
             else:
                 raise FenError(f"bad placement character {ch!r}")
         if file != 8:
             raise FenError(f"rank has {file} files, expected 8: {rank_text!r}")
-    if kings["K"] != 1 or kings["k"] != 1:
-        raise FenError(f"need exactly one king per side, got K={kings['K']} k={kings['k']}")
+    white_kings, black_kings = placement.count("K"), placement.count("k")
+    if white_kings != 1 or black_kings != 1:
+        raise FenError(f"need exactly one king per side, got K={white_kings} k={black_kings}")
 
     if turn not in (WHITE, BLACK):
         raise FenError(f"bad side-to-move field: {turn!r}")
@@ -574,7 +572,7 @@ def _parse_token(text: str):
     """The parts of a SAN token, ``(piece, from_file, from_rank, to_sq, promo,
     castle)`` with the source file and rank as 0-7 or None, or the head of
     the error message if it names no move."""
-    token = text.strip().replace("e.p.", "").replace("(ep)", "").rstrip("+#!?")
+    token = text.strip().replace("e.p.", "").rstrip("+#!?")
     if not token:
         return "empty SAN token"
     if token in ("O-O", "0-0", "O-O-O", "0-0-0"):

@@ -252,6 +252,14 @@ class TestPersistence:
         with pytest.raises(BookFormatError, match="line 4: "):
             load_book(written(signed(body)))
 
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["LF", "no LF"])
+    @pytest.mark.parametrize("char", ["é", "\U0001f600"])
+    def test_non_ascii_checksum_line_fails_checksum(self, char, end):
+        text = signed("openbook-diff v1\nmeta source=café games=0 positions=0 depth=2\n")
+        for checksum in (text[:-1] + char, text[:-2] + char):  # added, or for a hex digit
+            with pytest.raises(BookFormatError, match=r"^line 3: checksum mismatch$"):
+                load_book(written(checksum + end))
+
     def test_missing_final_line_break_rejected(self):
         text = signed("openbook-diff v1\nmeta source=s games=0 positions=0 depth=2\n")
         with pytest.raises(BookFormatError, match="line 3: no line break at the end"):

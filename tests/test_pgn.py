@@ -148,23 +148,65 @@ def test_byte_order_mark_starts_no_game(line_end):
     assert list(parse_pgn_stream(written(data), 0)) == parse(SIMPLE)
 
 
-LINE_PIECES = [b"\n", b"\r", b"\r\n", b"e4", b" ", b"\xe4", b"\xc3\xa4", codecs.BOM_UTF8]
+LINE_PIECES = [b"\n", b"\r", b"\r\n", b"e4", b" ", b"\xe4", b"\xc3\xa4", b"\xc3",
+               codecs.BOM_UTF8]
+CHUNK = 8192  # the bytes that io.TextIOWrapper decodes at a time
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map(b"".join), st.integers(1, 6))
-def test_lines_end_at_lf_crlf_or_cr_wherever_a_block_ends(data, block):
-    """Read a few bytes at a time, a file gives the lines that splitting it
-    whole gives: one per LF, CRLF or CR, each UTF-8 else Latin-1, and a
-    byte-order mark dropped only at the start."""
+def split_whole(data):
+    """The oracle: the lines of ``data`` split whole at LF, CRLF or CR,
+    without their ends, each UTF-8 else Latin-1, and a byte-order mark
+    dropped only at the start."""
     expected = []
-    for raw in data.removeprefix(codecs.BOM_UTF8).splitlines(True):
+    for raw in data.removeprefix(codecs.BOM_UTF8).splitlines():
         try:
             expected.append(raw.decode("utf-8"))
         except UnicodeDecodeError:
             expected.append(raw.decode("latin-1"))
-    with mock.patch.object(pgn, "_BLOCK", block):
-        assert list(pgn._lines(written(data))) == expected
+    return expected
+
+
+def read_lines(data):
+    """The lines that _lines reads from a file of ``data``, without their ends."""
+    lines = list(pgn._lines(written(data)))
+    assert all(line.endswith("\n") for line in lines[:-1])
+    return [line.removesuffix("\n") for line in lines]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map(b"".join))
+def test_lines_end_at_lf_crlf_or_cr(data):
+    """A file gives the lines that splitting it whole gives: one per LF,
+    CRLF or CR, each UTF-8 else Latin-1, and a byte-order mark dropped only
+    at the start."""
+    assert read_lines(data) == split_whole(data)
+
+
+@pytest.mark.parametrize("shift", [-3, -2, -1, 0])
+@pytest.mark.parametrize("piece", [b"\r\n", b"\r", b"\xc3\xa4", b"\xf0\x9f\x98\x80", b"\xe4"],
+                         ids=["CRLF", "CR", "UTF-8", "UTF-8 4 bytes", "Latin-1"])
+def test_lines_split_alike_across_the_text_layers_chunk(piece, shift):
+    """A line end or a character that straddles the end of the text layer's
+    first chunk, or a Latin-1 byte in a line that does, is read as if the
+    file were split whole."""
+    data = b"[Event \"" + b"x" * (CHUNK + shift - 8) + piece + b"y\"]\n1. e4 *\r\n"
+    for prefix in (b"", codecs.BOM_UTF8):
+        assert read_lines(prefix + data) == split_whole(prefix + data)
+
+
+@pytest.mark.parametrize("data, expected", [
+    # valid UTF-8 and a stray byte in one line: the line is read whole as Latin-1
+    ('[White "K\xe4rner"]\n'.encode() + b'[Black "K\xc3\xa4rner \xe4"]\n',
+     ['[White "K\xe4rner"]', '[Black "K\xc3\xa4rner \xe4"]']),
+    # the first byte or two of a byte-order mark, and no more of one, which
+    # utf-8-sig's decoder reads as no text when they end the file
+    (b"\xef", ["\xef"]),
+    (b"\xef\xbb", ["\xef\xbb"]),
+    (b"\xef\xbb\n", ["\xef\xbb"]),
+    (b"\xef\xbbe4", ["\xef\xbbe4"]),
+])
+def test_lines_of_fixed_inputs(data, expected):
+    assert read_lines(data) == split_whole(data) == expected
 
 
 def test_byte_order_mark_dropped_before_the_latin1_fallback():

@@ -35,11 +35,14 @@ class TestFen:
         assert p == parse_fen(rules.START_FEN)
 
     def test_no_kings_rejected(self):
-        with pytest.raises(FenError, match="king"):
+        with pytest.raises(FenError, match="king per side, got K=0 k=0$"):
             parse_fen("8/8/8/8/8/8/8/8 w - - 0 1")
+        # the placement is checked whole before its kings are counted
+        with pytest.raises(FenError, match="rank has 7 files"):
+            parse_fen("8/8/8/8/8/8/8/7 w - - 0 1")
 
     def test_two_white_kings_rejected(self):
-        with pytest.raises(FenError, match="king"):
+        with pytest.raises(FenError, match="king per side, got K=2 k=1$"):
             parse_fen("4k3/8/8/8/8/8/8/2K1K3 w - - 0 1")
 
     def test_pawn_on_back_rank_rejected(self):
@@ -270,7 +273,7 @@ _ORACLE_SAN = re.compile(r"([NBRQK])?([a-h])?([1-8])?x?([a-h][1-8])(?:=?([NBRQ])
 def oracle_outcome(named, text):
     """Brute-force SAN matching over every legal move: a Move, "illegal" or
     "ambiguous". ``named`` holds (move, piece, origin, target) per legal move."""
-    token = text.strip().replace("e.p.", "").replace("(ep)", "").rstrip("+#!?")
+    token = text.strip().replace("e.p.", "").rstrip("+#!?")
     if token in ("O-O", "0-0", "O-O-O", "0-0-0"):
         side = "K" if len(token) == 3 else "Q"
         found = [m for m, _, _, _ in named if m.castle == side]

@@ -822,6 +822,24 @@ class TestCliPlot:
         assert svg.count("<circle") == 3
         assert 'fill="red"' in svg  # marked point
 
+    def test_byte_order_mark_changes_no_plot(self, built_books, suite3_path, tmp_path):
+        """A report saved with a UTF-8 byte-order mark, as Windows editors
+        write it, plots the same SVG as the report itself."""
+        out_dir = tmp_path / "report"
+        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                     "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
+                     "--seed", "1", "--out", str(out_dir)]) == 0
+        tsv = out_dir / "comparison.tsv"
+        bom_tsv = tmp_path / "bom.tsv"
+        bom_tsv.write_bytes(codecs.BOM_UTF8 + tsv.read_bytes())
+        svgs = []
+        for report in (tsv, bom_tsv):
+            svg_path = tmp_path / f"{report.stem}.svg"
+            assert main(["plot", "--report", str(report), "--out", str(svg_path),
+                         "--mark", "26"]) == 0
+            svgs.append(svg_path.read_bytes())
+        assert svgs[0] == svgs[1]
+
     def test_unknown_mark_id_is_data_error(self, built_books, suite3_path, tmp_path, capsys):
         out_dir = str(tmp_path / "report")
         assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
