@@ -1,14 +1,11 @@
 """Streaming PGN ingestion.
 
-Parses a PGN file into game records, keeping only the mainline; its lines
-come from Python's text layer, with no block reading here. Comments,
-NAGs and recursive variations are dropped, in one strip of each game's
-movetext: a regex pass if it holds only brace comments, else a jump scan.
-Each game is replayed once, on one mutable ``rules._Board``, as it is
-parsed, and its fate is decided there: the replay validates every move,
-and a record's ``plies`` is None exactly when the game enters no book;
-otherwise it holds the key and SAN of the game's first plies. Broken games
-are reported and skipped instead of aborting the stream.
+Parses a PGN file into game records, keeping only the mainline. ``_lines``
+is the one line reader of every text input (PGN, EPD suite, comparison
+TSV); a PGN line that is not UTF-8 is re-read as Latin-1. Comments, NAGs
+and recursive variations are stripped from each game's movetext, and each
+game is replayed once, on one mutable ``rules._Board``, which decides its
+fate: a broken game is reported and skipped instead of aborting the stream.
 """
 
 from __future__ import annotations
@@ -53,22 +50,24 @@ class MalformedGame(NamedTuple):
 
 
 def _lines(path: str) -> Iterator[str]:
-    """The lines of the PGN file at ``path``, as Python's text layer reads
-    them: a line ends at LF, CRLF or CR, each line end is read as LF, and a
-    byte-order mark at the file's start is dropped. A line is UTF-8 text,
-    or, if it holds a byte that is not UTF-8, Latin-1 text of its bytes."""
+    """The lines of the text file at ``path``, for every text input (PGN, EPD
+    suite, comparison TSV): a line ends at LF, CRLF or CR, read as LF, a
+    byte-order mark at the start is dropped (not by utf-8-sig, which reads a
+    file of its first byte or two as empty), and a byte that is not UTF-8 is
+    read as a lone surrogate, which ``_not_utf8`` finds."""
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        # the mark is dropped here: utf-8-sig reads a file of its first byte or two as empty
         line = handle.readline().removeprefix("\ufeff")
-        while line:
-            # valid UTF-8 decodes to no surrogate, so one stands for a byte that is not
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    line = line.encode("utf-8", "surrogateescape").decode("latin-1")
+        if line:
             yield line
-            line = handle.readline()
+            yield from handle
+
+
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")  # what surrogateescape reads a bad byte as
+
+
+def _not_utf8(line: str) -> bool:
+    """Whether a line of ``_lines`` held a byte that is not UTF-8 (UTF-8 has no surrogate)."""
+    return not line.isascii() and _ESCAPED_BYTE.search(line) is not None
 
 
 def _strip_movetext(text: str, out: list, in_brace: bool = False, depth: int = 0):
@@ -154,10 +153,8 @@ def parse_pgn_stream(path: str, max_depth: int, min_rating: Optional[int] = None
                      ) -> Iterator[Union[GameRecord, MalformedGame]]:
     """Yield games (or malformed-game reports) from the PGN file at ``path``.
 
-    Its lines come from Python's text layer, with no block reading here
-    (``_lines``): they may end in LF, CRLF or CR, and each is UTF-8 text, or
-    Latin-1 if it is not. Parsing is single pass; memory is bounded per
-    game.
+    Its lines come from ``_lines``, each UTF-8 text or else Latin-1. Parsing
+    is single pass; memory is bounded per game.
     A game's movetext is stripped when the game ends, in one call of
     _strip_movetext (its regex pass or its jump scan). A tag line after
     movetext is comment if the lines before it, stripped then, leave a
@@ -191,6 +188,8 @@ def parse_pgn_stream(path: str, max_depth: int, min_rating: Optional[int] = None
         return record
 
     for line in _lines(path):
+        if _not_utf8(line):  # re-read whole as Latin-1, from its bytes
+            line = line.encode("utf-8", "surrogateescape").decode("latin-1")
         if line.startswith("%"):
             continue
         stripped = line.strip()

@@ -22,6 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from . import measures, stats
 from .book import Book, query
 from .measures import ComparisonRow, ExpectedScoreRow
+from .pgn import _lines, _not_utf8
 from .suite import SUMMARY_LABELS, SuiteEntry
 
 UNDEFINED = "undefined"
@@ -156,37 +157,35 @@ def render_files(notes: List[str], correlation: List[str], comparison: list,
 
 
 def parse_comparison_tsv(path: str) -> List[ComparisonRow]:
-    """Read back the rows of the comparison TSV at ``path``, UTF-8 text,
-    less a byte-order mark at its start.
+    """Read back the rows of the comparison TSV at ``path``, UTF-8 text.
 
     Its ``# `` lines are notes for readers and are skipped, and so are the
-    summary rows (Avg/Std). No header, a header other than
-    ``COMPARISON_HEADER``, or a value that is not finite, which the renderer
-    never writes, is a ValueError.
+    summary rows (Avg/Std). No header is a ValueError, and so is the first
+    line that is not UTF-8, a header other than ``COMPARISON_HEADER``, or a
+    row with a value that is not finite, which the renderer never writes.
     """
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        text = handle.read()
-    rows: List[ComparisonRow] = []
-    header_seen = False
-    width = COMPARISON_HEADER.count("\t") + 1
-    for line in text.splitlines():
+    rows: Optional[List[ComparisonRow]] = None  # until the header is read
+    for number, line in enumerate(_lines(path), 1):
+        if _not_utf8(line):
+            raise ValueError(f"line {number}: not UTF-8 text")
+        line = line.removesuffix("\n")
         if line.startswith("#") or not line.strip():
             continue
-        if not header_seen:
+        if rows is None:
             if line != COMPARISON_HEADER:
                 raise ValueError(f"bad comparison TSV header: {line!r}")
-            header_seen = True
+            rows = []
             continue
         cells = line.split("\t")
         if cells[0] in SUMMARY_LABELS:
             continue
-        if len(cells) != width:
+        if len(cells) != len(ComparisonRow._fields):
             raise ValueError(f"bad comparison TSV row: {line!r}")
         values = [None if cell == UNDEFINED else float(cell) for cell in cells[1:]]
         for column, value in zip(ComparisonRow._fields[1:], values):
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"non-finite {column} in comparison TSV row: {line!r}")
         rows.append(ComparisonRow(cells[0], *values))
-    if not header_seen:
+    if rows is None:
         raise ValueError("no comparison TSV header")
     return rows

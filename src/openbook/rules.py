@@ -452,9 +452,7 @@ def _apply(p: Position, m: Move) -> Position:
 
 def apply_move(p: Position, m: Move) -> Position:
     """Apply ``m`` to ``p``, raising IllegalMoveError if it is not legal."""
-    if m not in legal_moves(p):
-        raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
-    return _apply(p, m)
+    return _make_checked(p, m)[0].position()
 
 
 def initial_position() -> Position:
@@ -694,15 +692,24 @@ def parse_san(p: Position, text: str) -> Move:
     return _resolve(_Board(p), text)[0]
 
 
-def emit_san(p: Position, m: Move) -> str:
-    """Minimal-disambiguation SAN for a legal move, with check suffix."""
+def _make_checked(p: Position, m: Move):
+    """A live board of ``p`` with ``m`` made, and the legal moves of its kind
+    (``_origins``, or ``_castles``) it was among; IllegalMoveError if not."""
     b = _Board(p)
-    piece = b.squares[m.from_sq]
+    # only an on-board 0x88 square sets no bit outside 0x77 (a negative index sets many)
+    piece = None if (m.from_sq | m.to_sq) & ~0x77 else b.squares[m.from_sq]
     pool = (_castles(b) if m.castle else
-            _origins(b, piece.upper(), m.to_sq, m.promotion) if piece else [])
+            _origins(b, piece.upper(), m.to_sq, m.promotion)
+            if piece and m.promotion in (None, "N", "B", "R", "Q") else [])
     if m not in pool:
         raise IllegalMoveError(f"illegal move {m.uci()} in {emit_fen(p)}")
     b.push(m)
+    return b, pool
+
+
+def emit_san(p: Position, m: Move) -> str:
+    """Minimal-disambiguation SAN for a legal move, with check suffix."""
+    b, pool = _make_checked(p, m)
     return _san(m, pool, b)
 
 

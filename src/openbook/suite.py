@@ -10,9 +10,10 @@ of ``SUMMARY_LABELS`` (its summary rows) is refused.
 from __future__ import annotations
 
 import re
-from typing import List, NamedTuple
+from typing import Dict, List, NamedTuple
 
 from . import rules
+from .pgn import _lines, _not_utf8
 
 
 SUMMARY_LABELS = ("Avg", "Std")  # the report's mean and std rows
@@ -32,16 +33,12 @@ _ID_RE = re.compile(r'\bid\s+(?:"([^"]*)"|(\S+?));')
 
 
 def parse_epd_suite(path: str) -> List[SuiteEntry]:
-    """Parse the EPD file at ``path``, UTF-8 text with or without a
-    byte-order mark, into suite entries."""
-    with open(path, "r", encoding="utf-8-sig") as handle:
-        try:
-            lines = handle.readlines()
-        except UnicodeDecodeError as exc:
-            raise SuiteError(f"not UTF-8 text: {exc}") from None
-    entries: List[SuiteEntry] = []
-    seen_ids = set()
-    for number, line in enumerate(lines, 1):
+    """Parse the EPD file at ``path``, UTF-8 text read by ``pgn._lines``,
+    into suite entries. The first bad line in file order is the error."""
+    entries: Dict[str, SuiteEntry] = {}  # by id
+    for number, line in enumerate(_lines(path), 1):
+        if _not_utf8(line):
+            raise SuiteError(f"line {number}: not UTF-8 text")
         text = line.strip()
         if not text or text.startswith("#"):
             continue
@@ -53,17 +50,15 @@ def parse_epd_suite(path: str) -> List[SuiteEntry]:
         except rules.FenError as exc:
             raise SuiteError(f"line {number}: {exc}") from exc
         opcode_text = " ".join(fields[4:])
-        match = _ID_RE.search(opcode_text + ";" if opcode_text and
-                              not opcode_text.endswith(";") else opcode_text)
+        match = _ID_RE.search(opcode_text if opcode_text.endswith(";") else opcode_text + ";")
         position_id = (match.group(1) or match.group(2)) if match else f"pos{len(entries) + 1}"
         if position_id.startswith("#") or position_id in SUMMARY_LABELS:
             raise SuiteError(f"line {number}: id {position_id!r} would read as a "
                              f"report {'note' if position_id[0] == '#' else 'summary row'}")
-        if position_id in seen_ids:
+        if position_id in entries:
             raise SuiteError(f"line {number}: duplicate id {position_id!r}")
-        seen_ids.add(position_id)
-        entries.append(SuiteEntry(position_id, position.turn,
-                                  rules.position_key(position)))
+        entries[position_id] = SuiteEntry(position_id, position.turn,
+                                          rules.position_key(position))
     if not entries:
         raise SuiteError("empty suite")
-    return entries
+    return list(entries.values())

@@ -167,10 +167,33 @@ def split_whole(data):
 
 
 def read_lines(data):
-    """The lines that _lines reads from a file of ``data``, without their ends."""
+    """The lines that parse_pgn_stream reads from a file of ``data``, without
+    their ends: each line of _lines, re-read as Latin-1 from its bytes
+    where _not_utf8 finds a byte that is not UTF-8 in it."""
     lines = list(pgn._lines(written(data)))
     assert all(line.endswith("\n") for line in lines[:-1])
-    return [line.removesuffix("\n") for line in lines]
+    return [(line.encode("utf-8", "surrogateescape").decode("latin-1")
+             if pgn._not_utf8(line) else line).removesuffix("\n") for line in lines]
+
+
+def is_utf8(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=30).map(b"".join))
+def test_lines_keep_each_lines_bytes_and_flag_the_ones_not_utf8(data):
+    """Each line of _lines encodes back, bytes that are not UTF-8 included,
+    to its bytes in ``data`` split whole, and _not_utf8 flags exactly the
+    lines whose bytes are not UTF-8."""
+    lines = [line.removesuffix("\n") for line in pgn._lines(written(data))]
+    raw = data.removeprefix(codecs.BOM_UTF8).splitlines()
+    assert [line.encode("utf-8", "surrogateescape") for line in lines] == raw
+    assert [pgn._not_utf8(line) for line in lines] == [not is_utf8(r) for r in raw]
 
 
 @settings(max_examples=200, deadline=None)

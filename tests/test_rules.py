@@ -639,6 +639,83 @@ def test_one_legality_filter_matches_brute_force_along_walks():
             p = rules._apply(p, rng.choice(moves))
 
 
+def doctored_moves(p, moves):
+    """Moves that are not legal in ``p``, each close to one that is or to
+    one a careless generator would give: the legal ``moves`` with their
+    capture, en-passant, promotion or castling field changed or a square
+    moved off the board, the pseudo-legal moves of both sides (so those of
+    enemy pieces and those that leave the own king attacked) and every
+    castling move, whatever the rights and the attacked squares."""
+    out = set()
+    for m in moves:
+        out.add(m._replace(capture=not m.capture))
+        out.add(m._replace(en_passant=not m.en_passant))
+        out.update(m._replace(promotion=promo) for promo in (None, "N", "Q", "K", "P", "q"))
+        out.add(m._replace(castle=None if m.castle else "K"))
+        out.add(m._replace(from_sq=m.from_sq + 8))  # a file past h: an off-board slot
+        out.add(m._replace(to_sq=m.to_sq - 128))  # a negative index names the same slot
+    b = rules._Board(p)
+    out.update(rules._pseudo_moves(b))
+    b.white = not b.white
+    out.update(rules._pseudo_moves(b))
+    out.update(Move(king, king_to, castle=right.upper())
+               for right, (king, _, king_to, *_) in rules._CASTLING.items())
+    return out - set(moves)
+
+
+def refusal(call, p, m):
+    """The IllegalMoveError text that ``call(p, m)`` raises, or None."""
+    try:
+        call(p, m)
+    except IllegalMoveError as exc:
+        return str(exc)
+    return None
+
+
+def test_apply_move_and_emit_san_accept_exactly_the_legal_moves():
+    """Along seeded random walks from the start and the perft positions,
+    apply_move and emit_san take every legal move (apply_move gives the
+    position the move leads to) and refuse every doctored one with the
+    same message."""
+    rng = random.Random(3312)
+    fens = [rules.START_FEN] + [fen for fen, _ in TRICKY]
+    for game in range(10):
+        p = parse_fen(fens[game % len(fens)])
+        for _ in range(12):
+            moves = legal_moves(p)
+            for m in moves:
+                assert apply_move(p, m) == rules._apply(p, m)
+                assert parse_san(p, emit_san(p, m)) == m
+            fen = emit_fen(p)
+            for m in doctored_moves(p, moves):
+                expected = f"illegal move {m.uci()} in {fen}"
+                assert refusal(apply_move, p, m) == expected
+                assert refusal(emit_san, p, m) == expected
+            if not moves:
+                break
+            p = rules._apply(p, rng.choice(moves))
+
+
+@pytest.mark.parametrize("fen, legal", [
+    ("k7/8/8/8/8/8/8/4K2R w K - 0 1", True),
+    ("k3r3/8/8/8/8/8/8/4K2R w K - 0 1", False),  # out of check
+    ("k4r2/8/8/8/8/8/8/4K2R w K - 0 1", False),  # through an attacked square
+    ("k5r1/8/8/8/8/8/8/4K2R w K - 0 1", False),  # into check
+    ("k7/8/8/8/8/8/8/4K1NR w K - 0 1", False),  # through an occupied square
+], ids=["free", "out of check", "through attack", "into check", "blocked"])
+def test_castling_through_an_attacked_square_is_refused(fen, legal):
+    p = parse_fen(fen)
+    castle = Move(parse_square("e1"), parse_square("g1"), castle="K")
+    assert (castle in legal_moves(p)) == legal
+    if legal:
+        assert emit_san(p, castle) == "O-O"
+        assert apply_move(p, castle).board[parse_square("f1")] == "R"
+    else:
+        expected = f"illegal move e1g1 in {emit_fen(p)}"
+        assert refusal(apply_move, p, castle) == expected
+        assert refusal(emit_san, p, castle) == expected
+
+
 def test_moves_are_plain_move_values():
     """The moves that legal_moves and the SAN resolver give are Move
     values that compare and hash as the same move built by ``Move(...)``:

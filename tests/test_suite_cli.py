@@ -68,6 +68,25 @@ class TestEpdSuite:
         with pytest.raises(SuiteError, match="UTF-8"):
             parse_epd_suite(str(suite_file))
 
+    def test_bad_byte_past_the_text_layers_chunk_names_its_line(self, tmp_path):
+        """A byte that is not UTF-8 is named by its line, wherever it lies in
+        the file, not by an offset inside the text layer's 8 KB chunk."""
+        good = "".join(f'4k3/8/8/8/8/8/8/4K3 w - - id "p{n}";\n' for n in range(300))
+        suite_file = tmp_path / "suite.epd"
+        suite_file.write_bytes(good.encode() + b'4k3/8/8/8/8/8/8/4K3 w - - id "K\xe4";\n')
+        assert len(good) > 8192
+        with pytest.raises(SuiteError, match=r"^line 301: not UTF-8 text$"):
+            parse_epd_suite(str(suite_file))
+
+    def test_first_bad_line_in_file_order_is_the_error(self, tmp_path):
+        suite_file = tmp_path / "suite.epd"
+        suite_file.write_bytes(b"4k3/8/8/8/8/8/8/4K3 w - -\nnot a position\n\xe4\n")
+        with pytest.raises(SuiteError, match=r"^line 2: need 4 FEN fields"):
+            parse_epd_suite(str(suite_file))
+        suite_file.write_bytes(b"4k3/8/8/8/8/8/8/4K3 w - -\n\xe4\nnot a position\n")
+        with pytest.raises(SuiteError, match=r"^line 2: not UTF-8 text$"):
+            parse_epd_suite(str(suite_file))
+
     def test_sample_suite_loads(self, sample_epd_path):
         entries = parse_epd_suite(sample_epd_path)
         assert entries[0].position_id == "26"
@@ -733,25 +752,36 @@ class TestCliCompare:
         assert re.fullmatch(r"# pearson_full=-?[0-9.]+ n=3 "
                             r"note=need at least 1000 resamples, got 5\n", lines[0])
 
-    def test_byte_order_mark_before_the_suite_changes_no_report(self, built_books,
-                                                                suite3_path, tmp_path):
-        bom_suite = tmp_path / "bom.epd"
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_ends_and_byte_order_mark_change_no_report(self, built_books, suite3_path,
+                                                             tmp_path, line_end):
+        """LF, CRLF and CR-only copies of a suite, with and without a UTF-8
+        byte-order mark, give the report that the suite itself gives."""
         with open(suite3_path, "rb") as handle:
-            bom_suite.write_bytes(codecs.BOM_UTF8 + handle.read())
+            data = handle.read()
+        assert b"\r" not in data
         plain = self.run_compare(built_books, suite3_path, tmp_path / "plain")
-        bom = self.run_compare(built_books, str(bom_suite), tmp_path / "bom")
-        for name in ("comparison.tsv", "expected_score.tsv", "report.md"):
-            with open(os.path.join(plain, name), "rb") as fa, \
-                    open(os.path.join(bom, name), "rb") as fb:
-                assert fb.read() == fa.read()
+        for name, prefix in (("ends", b""), ("bom", codecs.BOM_UTF8)):
+            copy = tmp_path / f"{name}.epd"
+            copy.write_bytes(prefix + data.replace(b"\n", line_end))
+            out = self.run_compare(built_books, str(copy), tmp_path / name)
+            for report in ("comparison.tsv", "expected_score.tsv", "report.md"):
+                with open(os.path.join(plain, report), "rb") as fa, \
+                        open(os.path.join(out, report), "rb") as fb:
+                    assert fb.read() == fa.read()
 
     def test_non_utf8_suite_is_data_error(self, built_books, tmp_path, capsys):
+        """A suite line that is not UTF-8 is refused as such, and so is a
+        suite of the first byte or two of a byte-order mark: it is not read
+        as an empty suite."""
         suite_file = tmp_path / "suite.epd"
-        suite_file.write_bytes(b"\xff\xfe4k3/8/8/8/8/8/8/4K3 w - -\n")
-        assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
-                     "--suite", str(suite_file), "--out", str(tmp_path / "r")]) == 2
-        assert "bad suite" in capsys.readouterr().err
-        assert not (tmp_path / "r").exists()
+        for data in (b"\xff\xfe4k3/8/8/8/8/8/8/4K3 w - -\n", b"\xef", b"\xef\xbb"):
+            suite_file.write_bytes(data)
+            assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
+                         "--suite", str(suite_file), "--out", str(tmp_path / "r")]) == 2
+            assert capsys.readouterr().err == (
+                f"openbook: bad suite file {suite_file}: line 1: not UTF-8 text\n")
+            assert not (tmp_path / "r").exists()
 
     def test_defect_outside_the_suite_is_data_error(self, built_books, tmp_path, capsys):
         suite = tmp_path / "start.epd"
@@ -822,23 +852,43 @@ class TestCliPlot:
         assert svg.count("<circle") == 3
         assert 'fill="red"' in svg  # marked point
 
-    def test_byte_order_mark_changes_no_plot(self, built_books, suite3_path, tmp_path):
-        """A report saved with a UTF-8 byte-order mark, as Windows editors
-        write it, plots the same SVG as the report itself."""
+    @pytest.mark.parametrize("line_end", [b"\n", b"\r\n", b"\r"], ids=["LF", "CRLF", "CR"])
+    def test_line_ends_and_byte_order_mark_change_no_plot(self, built_books, suite3_path,
+                                                           tmp_path, line_end):
+        """LF, CRLF and CR-only copies of a report, with and without a UTF-8
+        byte-order mark, as Windows editors write it, plot the SVG that the
+        report itself plots."""
         out_dir = tmp_path / "report"
         assert main(["compare", "--book1", built_books[0], "--book2", built_books[1],
                      "--suite", suite3_path, "--min-games", "1", "--bootstrap", "1000",
                      "--seed", "1", "--out", str(out_dir)]) == 0
         tsv = out_dir / "comparison.tsv"
-        bom_tsv = tmp_path / "bom.tsv"
-        bom_tsv.write_bytes(codecs.BOM_UTF8 + tsv.read_bytes())
+        data = tsv.read_bytes()
+        assert b"\r" not in data
+        copies = [tsv]
+        for name, prefix in (("ends", b""), ("bom", codecs.BOM_UTF8)):
+            copies.append(tmp_path / f"{name}.tsv")
+            copies[-1].write_bytes(prefix + data.replace(b"\n", line_end))
         svgs = []
-        for report in (tsv, bom_tsv):
+        for report in copies:
             svg_path = tmp_path / f"{report.stem}.svg"
             assert main(["plot", "--report", str(report), "--out", str(svg_path),
                          "--mark", "26"]) == 0
             svgs.append(svg_path.read_bytes())
-        assert svgs[0] == svgs[1]
+        assert svgs[1:] == svgs[:1] * 2
+
+    @pytest.mark.parametrize("data", [b"\xef", b"\xef\xbb", b"# note\n\xe4\n"],
+                             ids=["1 byte", "2 bytes", "Latin-1"])
+    def test_report_not_utf8_is_data_error(self, tmp_path, capsys, data):
+        """A report line that is not UTF-8, the first byte or two of a
+        byte-order mark included, is refused as such, naming its line."""
+        tsv = tmp_path / "comparison.tsv"
+        tsv.write_bytes(data)
+        assert main(["plot", "--report", str(tsv), "--out", str(tmp_path / "s.svg")]) == 2
+        line = data.count(b"\n") or 1
+        assert capsys.readouterr().err == (
+            f"openbook: bad report file {tsv}: line {line}: not UTF-8 text\n")
+        assert not (tmp_path / "s.svg").exists()
 
     def test_unknown_mark_id_is_data_error(self, built_books, suite3_path, tmp_path, capsys):
         out_dir = str(tmp_path / "report")
